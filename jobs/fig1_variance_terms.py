@@ -4,9 +4,8 @@ Usage: spark-submit jobs/fig1_variance_terms.py [scale]
 """
 import sys
 
-from _session import get_session
-
 from repro.experiments.fig1 import run_fig1
+from repro.session import get_session
 
 
 def main() -> None:

@@ -2,9 +2,8 @@
 
 Usage: spark-submit jobs/fig7_runtime.py
 """
-from _session import get_session
-
 from repro.experiments.runtime import run_runtime
+from repro.session import get_session
 
 
 def main() -> None:

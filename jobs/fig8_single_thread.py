@@ -5,9 +5,8 @@ Usage: spark-submit jobs/fig8_single_thread.py [p_inv]
 """
 import sys
 
-from _session import get_session
-
 from repro.experiments.single_thread import run_single_thread
+from repro.session import get_session
 
 
 def main() -> None:

@@ -5,9 +5,8 @@ Defaults: p_inv=10 with c=2..32 (Figure 4); pass 100 for Figure 3.
 """
 import sys
 
-from _session import get_session
-
 from repro.experiments.global_nrmse import run_global_nrmse
+from repro.session import get_session
 
 
 def main() -> None:

@@ -4,9 +4,8 @@ Usage: spark-submit jobs/local_nrmse.py [p_inv] [c1,c2,...]
 """
 import sys
 
-from _session import get_session
-
 from repro.experiments.local_nrmse import run_local_nrmse
+from repro.session import get_session
 
 
 def main() -> None:

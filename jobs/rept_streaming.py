@@ -8,10 +8,9 @@ Usage: spark-submit jobs/rept_streaming.py [dataset] [m] [c]
 import sys
 import tempfile
 
-from _session import get_session
-
 from repro.core.structured import rept_structured_counts, write_stream_files
 from repro.graphs.datasets import load_stream, stream_pdf
+from repro.session import get_session
 
 
 def main() -> None:

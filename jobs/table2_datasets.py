@@ -4,9 +4,8 @@ Usage: spark-submit jobs/table2_datasets.py [scale]
 """
 import sys
 
-from _session import get_session
-
 from repro.experiments.table2 import run_table2
+from repro.session import get_session
 
 
 def main() -> None:

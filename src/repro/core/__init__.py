@@ -2,10 +2,10 @@
 
 Submodules:
 
-* ``hashing``    — deterministic splitmix64 hashing shared by every engine.
-* ``indicator``  — vectorized per-seed indicator counting over Spark DataFrames.
-* ``estimators`` — estimator math (variance formulas, Graybill–Deal, NRMSE).
-* ``rept_sql``   — batch-equivalent REPT engine (Algorithms 1 and 2).
-* ``mascot_sql`` — batch-equivalent parallel-MASCOT engine.
-* ``structured`` — Structured Streaming REPT job.
+* ``hashing``     — deterministic splitmix64 hashing shared by every engine.
+* ``estimators``  — estimator math (variance formulas, Graybill–Deal and
+  the Algorithm 2 combination, NRMSE).
+* ``closed_form`` — end-of-stream REPT (Algorithms 1 and 2) and MASCOT
+  outputs as numpy over edge-indexed triangle arrays, many seeds per call.
+* ``structured``  — Structured Streaming REPT job.
 """

@@ -1,0 +1,179 @@
+"""End-of-stream REPT and MASCOT outputs in closed form (DESIGN.md §2).
+
+Every output is a deterministic function of one hash per edge.
+:func:`processor_counts` evaluates it for one seed with numpy gathers and
+``np.bincount`` over the triangle arrays of
+:class:`repro.graphs.exact.TriangleIndex`, reproducing exactly what the
+sequential simulators in :mod:`repro.stream` output; the run-level
+functions call it once per seed (per group seed for Algorithm 2) on the
+driver. A MASCOT trial is the one processor that holds the edges passing
+its Bernoulli(p) test; a pool of N trials yields ``⌊N/c⌋`` parallel-c
+estimates by chunking.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pandas as pd
+from pyspark.sql import SparkSession
+
+from repro.core.estimators import combine_alg2
+from repro.core.hashing import bucket, group_seed, uniform01
+from repro.graphs.exact import TriangleIndex, TriangleTables
+
+
+def processor_counts(
+    tri: TriangleIndex, buckets: np.ndarray, lim: int, local: bool = False
+) -> dict:
+    """End-of-stream counts of processors ``0 … lim−1``, where processor
+    i holds the stream edges whose entry in ``buckets`` is i.
+
+    Returns τ^(i) and η^(i) as int arrays of length ``lim`` and, when
+    ``local``, τ_v^(i) and η_v^(i) as ``lim × len(tri.nodes)`` int arrays.
+    """
+    t1, t2, t3 = tri.pos
+    b1 = buckets[t1]
+    semi = (b1 == buckets[t2]) & (b1 < lim)
+    proc = b1[semi]
+    last = t3[semi]
+    n_e = len(buckets)
+    # x_g: semi-triangles with g among their first two edges; y_g: those
+    # with g last whose first two edges share g's bucket (the pseudocode's
+    # τ_(u,v) ← |N_uv| initialization, DESIGN.md §1).
+    x = np.bincount(t1[semi], minlength=n_e) + np.bincount(t2[semi], minlength=n_e)
+    y = np.bincount(last[buckets[last] == proc], minlength=n_e)
+    eta_g = x * (x - 1) // 2 + x * y
+    out = {
+        "tau": np.bincount(proc, minlength=lim),
+        # η_g is nonzero only where x_g > 0, so on an edge of a bucket < lim.
+        "eta": np.bincount(buckets, weights=eta_g, minlength=lim)[:lim].astype(np.int64),
+    }
+    if local:
+        n = len(tri.nodes)
+        cells = (proc * n + tri.verts[:, semi]).ravel()
+        out["tau_v"] = np.bincount(cells, minlength=lim * n).reshape(lim, n)
+        g = np.flatnonzero(eta_g)
+        cells = (buckets[g] * n + tri.ends[:, g]).ravel()
+        eta_v = np.bincount(cells, weights=np.tile(eta_g[g], 2), minlength=lim * n)
+        out["eta_v"] = eta_v.reshape(lim, n).astype(np.int64)
+    return out
+
+
+def _check(seeds: list[int], m: int = 1, c: int = 1, p: float = 1.0) -> None:
+    """Reject run parameters the closed forms are undefined for."""
+    if m < 1 or c < 1:
+        raise ValueError(f"need m >= 1 and c >= 1, got m={m}, c={c}")
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must be in (0, 1], got {p}")
+    if len(seeds) == 0:
+        raise ValueError("need at least one seed")
+
+
+def _rept_sums(tables: TriangleTables, m: int, c: int, seed: int, local: bool):
+    """Raw sums of one REPT run: Σ τ^(i) over the full groups (over all c
+    processors for Algorithm 1), Σ τ^(i) over the leftover group, and
+    Σ η^(i) over every processor; per node when ``local``."""
+    tau, eta = ("tau_v", "eta_v") if local else ("tau", "eta")
+    if c <= m:
+        r = processor_counts(tables.index, bucket(tables.stream.k, seed, m), c, local)
+        return r[tau].sum(axis=0), 0, 0
+    c1, c2 = divmod(c, m)
+    full = part = eta_sum = 0
+    for g in range(c1 + (1 if c2 else 0)):
+        lim = m if g < c1 else c2
+        r = processor_counts(
+            tables.index, bucket(tables.stream.k, group_seed(seed, g), m), lim, local
+        )
+        if g < c1:
+            full = full + r[tau].sum(axis=0)
+        else:
+            part = r[tau].sum(axis=0)
+        eta_sum = eta_sum + r[eta].sum(axis=0)
+    return full, part, eta_sum
+
+
+def _rept_estimate(full, part, eta_sum, m: int, c: int) -> dict:
+    if c <= m:
+        return {"tau_hat": np.asarray(full) * (m * m / c)}
+    return combine_alg2(full, part, eta_sum, m, c)
+
+
+def rept_global_runs(
+    spark: SparkSession, tables: TriangleTables, m: int, c: int, seeds: list[int]
+) -> pd.DataFrame:
+    """Global REPT estimates τ̂ for each run seed.
+
+    Returns pandas ``(run, tau_hat)`` plus diagnostics (``tau1``,
+    ``tau2``, ``eta_hat`` for the c > m, c2 ≠ 0 case).
+    """
+    _check(seeds, m=m, c=c)
+    sums = [_rept_sums(tables, m, c, s, local=False) for s in seeds]
+    full, part, eta_sum = (np.array(col) for col in zip(*sums))
+    return pd.DataFrame(
+        {"run": range(len(seeds)), **_rept_estimate(full, part, eta_sum, m, c)}
+    )
+
+
+def rept_local_runs(
+    spark: SparkSession, tables: TriangleTables, m: int, c: int, seeds: list[int]
+) -> pd.DataFrame:
+    """Local REPT estimates as sparse pandas ``(run, v, est)``, one row
+    per node with a semi-triangle in the run — the (run, node) pairs
+    absent from the output are estimates of 0."""
+    _check(seeds, m=m, c=c)
+    frames = []
+    for run, seed in enumerate(seeds):
+        full, part, eta_sum = _rept_sums(tables, m, c, seed, local=True)
+        est = _rept_estimate(full, part, eta_sum, m, c)["tau_hat"]
+        hit = np.flatnonzero(full + part)
+        frames.append(
+            pd.DataFrame({"run": run, "v": tables.index.nodes[hit], "est": est[hit]})
+        )
+    return pd.concat(frames, ignore_index=True)
+
+
+def _mascot_trial(tables: TriangleTables, p: float, seed: int, local: bool) -> dict:
+    """One MASCOT trial: processor 0 holds the edges that pass the test."""
+    held = uniform01(tables.stream.k, seed) < p
+    return processor_counts(tables.index, (~held).astype(np.int64), 1, local)
+
+
+def mascot_trial_estimates(
+    spark: SparkSession, tables: TriangleTables, p: float, seeds: list[int]
+) -> np.ndarray:
+    """Global single-processor MASCOT estimates τ̃ (one per trial seed)."""
+    _check(seeds, p=p)
+    cnt = np.array([_mascot_trial(tables, p, s, local=False)["tau"][0] for s in seeds])
+    return cnt / (p * p)
+
+
+def mascot_local_trial_counts(
+    spark: SparkSession, tables: TriangleTables, p: float, seeds: list[int]
+) -> pd.DataFrame:
+    """Sparse per-(trial, v) semi-triangle counts (pandas ``trial, v, cnt``)."""
+    _check(seeds, p=p)
+    frames = []
+    for trial, seed in enumerate(seeds):
+        cnt = _mascot_trial(tables, p, seed, local=True)["tau_v"][0]
+        hit = np.flatnonzero(cnt)
+        frames.append(
+            pd.DataFrame({"trial": trial, "v": tables.index.nodes[hit], "cnt": cnt[hit]})
+        )
+    return pd.concat(frames, ignore_index=True)
+
+
+def chunk_parallel_local(
+    trial_counts: pd.DataFrame, c: int, p: float, n_trials: int
+) -> tuple[pd.DataFrame, int]:
+    """Parallel-c MASCOT local estimates from a trial pool.
+
+    Returns sparse pandas ``(run, v, est)`` (absent pairs are 0) and the
+    number of parallel runs formed.
+    """
+    n_runs = n_trials // c
+    if n_runs == 0:
+        raise ValueError(f"need at least c={c} trials, got {n_trials}")
+    tc = trial_counts[trial_counts["trial"] < n_runs * c].copy()
+    tc["run"] = tc["trial"] // c
+    out = tc.groupby(["run", "v"], as_index=False)["cnt"].sum()
+    out["est"] = out["cnt"] / (p * p * c)
+    return out[["run", "v", "est"]], n_runs

@@ -46,6 +46,27 @@ def graybill_deal(est1, var1, est2, var2):
     return np.where(tot > 0, comb, est1)
 
 
+def combine_alg2(full_sum, part_sum, eta_sum, m: int, c: int) -> dict[str, np.ndarray]:
+    """Algorithm 2's estimate (c > m) from its raw processor sums.
+
+    ``full_sum`` is Σ τ^(i) over the c1 = ⌊c/m⌋ full groups, ``part_sum``
+    over the leftover group of c2 = c mod m processors and ``eta_sum``
+    Σ η^(i) over all c processors. Returns ``tau_hat`` and, when c2 > 0,
+    the diagnostics ``tau1``, ``tau2`` and ``eta_hat``. Vectorized: the
+    sums may be arrays over runs or over nodes (local counts).
+    """
+    c1, c2 = divmod(c, m)
+    tau1 = np.asarray(full_sum) * (m / c1)
+    if c2 == 0:
+        return {"tau_hat": tau1}
+    tau2 = np.asarray(part_sum) * (m * m / c2)
+    eta_hat = np.asarray(eta_sum) * (m**3 / c)
+    w1 = tau1 * (m - 1) / c1
+    w2 = (tau1 * (m * m - c2) + 2.0 * eta_hat * (m - c2)) / c2
+    tau_hat = graybill_deal(tau1, w1, tau2, w2)
+    return {"tau_hat": tau_hat, "tau1": tau1, "tau2": tau2, "eta_hat": eta_hat}
+
+
 def nrmse(estimates, truth: float) -> float:
     """sqrt(mean((μ̂ − μ)²)) / μ over independent runs."""
     est = np.asarray(estimates, dtype=np.float64)

@@ -1,8 +1,8 @@
 """Deterministic 64-bit hashing shared by every engine.
 
-A single numpy implementation (splitmix64 finalizer) is used by the SQL
-engines (inside ``mapInPandas`` kernels), the streaming simulators, and
-the Structured Streaming job, so "the same hash seed" means the same
+A single numpy implementation (splitmix64 finalizer) is used by the
+closed-form evaluator, the streaming simulators, and the Structured
+Streaming job, so "the same hash seed" means the same
 sampled edge sets everywhere — the property every exact cross-check in
 ``tests/test_stream_rept.py`` relies on.
 
@@ -52,6 +52,16 @@ def mix_seeds(*parts: int) -> int:
     for p in parts:
         acc = splitmix64(acc ^ _U(int(p) & 0xFFFFFFFFFFFFFFFF))[()]
     return int(acc)
+
+
+#: salt of the per-group hash seeds of Algorithm 2.
+_GROUP_SALT = 0xA11CE
+
+
+def group_seed(seed: int, g: int) -> int:
+    """Hash seed of processor group ``g`` in an Algorithm 2 run (c > m):
+    each group of m processors partitions the stream independently."""
+    return mix_seeds(seed, g, _GROUP_SALT)
 
 
 def derive(key, seed: int) -> np.ndarray:

@@ -8,8 +8,8 @@ inserts the edges hashing to its bucket). Per-processor state —
 sampled adjacency + τ^(i) — lives in Structured Streaming state via
 ``applyInPandasWithState``; each micro-batch emits the running τ^(i).
 
-End-of-stream counts are identical to the batch SQL engine and the
-sequential simulator at the same (m, c, seed) — asserted in
+End-of-stream counts are identical to the sequential simulator (and so
+to the closed-form evaluator) at the same (m, c, seed) — asserted in
 ``tests/test_structured.py``. Micro-batches must arrive in stream order
 (enforced here by sorting each batch by ``t`` and feeding files
 chronologically); within that contract the semantics are exact.

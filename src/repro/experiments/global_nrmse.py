@@ -1,8 +1,8 @@
 """Figures 3 & 4 — NRMSE of global triangle count estimates.
 
 REPT vs parallel MASCOT / Trièst / GPS, at fixed p = 1/m, sweeping the
-processor count c. REPT runs through the batch-equivalent SQL engine
-(many hash seeds at once); MASCOT through its SQL trial pool; Trièst
+processor count c. REPT runs through the closed-form evaluator (many
+hash seeds at once); MASCOT through its closed-form trial pool; Trièst
 and GPS have no batch shortcut and run as pooled sequential trials on
 the streaming engine (budget p|E|, and p|E|/2 for GPS per the paper's
 memory accounting). Pools are chunked into parallel-c estimates, so one
@@ -14,10 +14,9 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.core.closed_form import mascot_trial_estimates, rept_global_runs
 from repro.core.estimators import nrmse
 from repro.core.hashing import mix_seeds
-from repro.core.mascot_sql import chunk_parallel_global, mascot_trial_estimates
-from repro.core.rept_sql import rept_global_runs
 from repro.experiments.common import dataset_seed, get_tables, profile_datasets, save_result
 from repro.stream.engine import global_estimates, pooled_parallel_estimates, run_stream_trials
 
@@ -40,7 +39,7 @@ def run_global_nrmse(
 
     ``r_rept`` REPT runs per c; pooled methods build a pool of
     ``r_pool × max(c_list)`` trials reused across the sweep. MASCOT
-    trials are nearly free (SQL engine), so its pool defaults to
+    trials are nearly free (closed form), so its pool defaults to
     ``3 × r_pool`` for a less noisy REPT-vs-MASCOT comparison.
     """
     if r_pool_mascot is None:
@@ -77,11 +76,7 @@ def run_global_nrmse(
                      "nrmse": nrmse(est, t.tau), "n_estimates": len(est)}
                 )
             for meth, pool in pools.items():
-                est = (
-                    chunk_parallel_global(pool, c)
-                    if meth == "mascot"
-                    else pooled_parallel_estimates(pool, c)
-                )
+                est = pooled_parallel_estimates(pool, c)
                 rows.append(
                     {"graph": name, "method": meth, "p": p, "c": c,
                      "nrmse": nrmse(est, t.tau), "n_estimates": len(est)}

@@ -10,10 +10,13 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.core.closed_form import (
+    chunk_parallel_local,
+    mascot_local_trial_counts,
+    rept_local_runs,
+)
 from repro.core.estimators import local_nrmse
 from repro.core.hashing import mix_seeds
-from repro.core.mascot_sql import chunk_parallel_local, mascot_local_trial_counts
-from repro.core.rept_sql import rept_local_runs
 from repro.experiments.common import dataset_seed, get_tables, profile_datasets, save_result
 from repro.graphs.exact import local_counts_df
 from repro.stream.engine import pooled_parallel_local, run_stream_trials
@@ -45,7 +48,7 @@ def run_local_nrmse(
 
         mascot_pool = None
         if "mascot" in methods:
-            # MASCOT trials are cheap (SQL engine) — use a 2× pool.
+            # MASCOT trials are cheap (closed form) — use a 2× pool.
             seeds = [mix_seeds(base, 1, i) for i in range(2 * r_pool * c_max)]
             mascot_pool = (mascot_local_trial_counts(spark, t, p, seeds), len(seeds))
         triest_pool = None

@@ -12,10 +12,9 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.core.closed_form import mascot_trial_estimates, rept_global_runs
 from repro.core.estimators import nrmse
 from repro.core.hashing import mix_seeds
-from repro.core.mascot_sql import mascot_trial_estimates
-from repro.core.rept_sql import rept_global_runs
 from repro.experiments.common import dataset_seed, get_tables, save_result
 from repro.stream.engine import global_estimates, run_stream_trials
 

@@ -12,8 +12,11 @@ key. The paper's true statistics are kept alongside for EXPERIMENTS.md.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,23 +106,50 @@ def _generate(name: str, scale: float, seed: int) -> tuple[np.ndarray, np.ndarra
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
+def _read_cache(path: str) -> tuple[np.ndarray, ...] | None:
+    """The arrays ``(t, u, v, k)`` of a cached stream, or None when the
+    file is missing, unreadable or inconsistent (then it is regenerated)."""
+    try:
+        with np.load(path) as z:
+            t, u, v, k = (z[key] for key in ("t", "u", "v", "k"))
+    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile, zlib.error):
+        return None
+    if not len(t) == len(u) == len(v) == len(k) or not np.array_equal(k, edge_key(u, v)):
+        return None
+    return t, u, v, k
+
+
+def _write_cache(path: str, t, u, v, k) -> None:
+    """Write atomically, so a reader never sees a partial file."""
+    os.makedirs(_CACHE_DIR, exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            np.savez_compressed(f, t=t, u=u, v=v, k=k)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def load_stream(name: str, scale: float = 1.0, seed: int = 7, cache: bool = True) -> Stream:
     """Generate (or load from cache) the named dataset's edge stream.
 
     The cache key includes a digest of the generator config so edits to
-    :data:`CONFIGS` never serve stale graphs.
+    :data:`CONFIGS` never serve stale graphs; a cache file that fails
+    validation is regenerated and rewritten.
     """
     digest = hashlib.md5(repr(sorted(CONFIGS[name].items())).encode()).hexdigest()[:8]
     path = os.path.join(_CACHE_DIR, f"{name}_s{scale}_r{seed}_{digest}.npz")
-    if cache and os.path.exists(path):
-        z = np.load(path)
-        return Stream(name, z["t"], z["u"], z["v"], z["k"])
+    cached = _read_cache(path) if cache else None
+    if cached is not None:
+        return Stream(name, *cached)
     u, v = _generate(name, scale, seed)
     t, u, v = gen.to_stream(u, v, seed=seed + 1)
     k = edge_key(u, v)
     if cache:
-        os.makedirs(_CACHE_DIR, exist_ok=True)
-        np.savez_compressed(path, t=t, u=u, v=v, k=k)
+        _write_cache(path, t, u, v, k)
     return Stream(name, t, u, v, k)
 
 

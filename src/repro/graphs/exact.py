@@ -1,14 +1,15 @@
 """Exact (non-sampled) triangle analytics over an edge stream, in Spark SQL.
 
 These are the ground truths every estimator is judged against, and the
-substrate of the batch-equivalent REPT/MASCOT engines:
+source of the edge-indexed triangle arrays (:class:`TriangleIndex`) that
+the closed-form REPT/MASCOT evaluator consumes:
 
 * :func:`triangle_df` enumerates each triangle once together with its
   three edges **ordered by stream arrival** (t1 < t2 < t3) — the order
   that defines the paper's "semi-triangle" (first two edges sampled).
 * :func:`open_edge_df` / :func:`last_edge_df` expose, per triangle, the
   edges that are / are not its last stream edge — the inputs to the
-  exact η, η_v computations and to REPT's online η̂ semantics.
+  exact η, η_v computations.
 
 Everything is pure DataFrame API (Catalyst); correctness is checked in
 tests against both a brute-force python reference and the DuckDB oracle.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -143,10 +145,41 @@ def eta_local_df(triangles: DataFrame) -> DataFrame:
     )
 
 
+@dataclass(frozen=True)
+class TriangleIndex:
+    """One stream's triangles as int arrays: the input of the closed-form
+    evaluator :mod:`repro.core.closed_form`.
+
+    ``pos`` (3 × τ): rows t1, t2, t3 hold the stream positions (indices
+    into the stream arrays) of each triangle's first, middle and last
+    edge. ``verts`` (3 × τ): its three vertices, and ``ends`` (2 × |E|):
+    each stream edge's endpoints, both as indices into the sorted node
+    ids ``nodes``.
+    """
+
+    pos: np.ndarray
+    verts: np.ndarray
+    ends: np.ndarray
+    nodes: np.ndarray
+
+    @classmethod
+    def of(cls, stream: Stream, pos, verts) -> "TriangleIndex":
+        """Index triangles given as (τ × 3) arrival-ordered edge positions
+        and (τ × 3) vertex ids of ``stream``."""
+        nodes = np.unique(np.concatenate([stream.u, stream.v]))
+        return cls(
+            np.asarray(pos, dtype=np.int64).reshape(-1, 3).T.copy(),
+            np.searchsorted(nodes, np.asarray(verts).reshape(-1, 3).T),
+            np.searchsorted(nodes, np.stack([stream.u, stream.v])),
+            nodes,
+        )
+
+
 @dataclass
 class TriangleTables:
-    """Persisted triangle-level views of one stream, shared by every
-    SQL-engine experiment, plus its exact global statistics."""
+    """Triangle views of one stream, shared by every experiment: the
+    persisted triangle table, its lazy per-edge views, the edge-indexed
+    triangle arrays and the exact global statistics."""
 
     stream: Stream
     edges: DataFrame
@@ -155,18 +188,22 @@ class TriangleTables:
     last_edges: DataFrame
     tau: int
     eta: int
+    index: TriangleIndex
 
     def unpersist(self) -> None:
-        for df in (self.triangles, self.open_edges, self.last_edges):
-            df.unpersist()
+        self.triangles.unpersist()
 
 
 def build_tables(spark: SparkSession, stream: Stream) -> TriangleTables:
-    """Enumerate and persist the triangle tables for ``stream``."""
+    """Enumerate the triangles of ``stream`` once: persist the triangle
+    table and collect its edge positions and vertices to the driver."""
+    if not np.array_equal(stream.t, np.arange(stream.n_edges)):
+        raise ValueError("stream positions t must be 0..|E|-1 in arrival order")
     edges = edge_stream_df(spark, stream)
     tri = triangle_df(edges).persist()
-    tau = tri.count()
-    open_e = open_edge_df(tri).persist()
-    last_e = last_edge_df(tri).persist()
+    cols = tri.select("t1", "t2", "t3", "x", "y", "z").toPandas().to_numpy(np.int64)
+    index = TriangleIndex.of(stream, cols[:, :3], cols[:, 3:])
     eta = eta_global(tri)
-    return TriangleTables(stream, edges, tri, open_e, last_e, tau, eta)
+    return TriangleTables(
+        stream, edges, tri, open_edge_df(tri), last_edge_df(tri), len(cols), eta, index
+    )

@@ -1,7 +1,10 @@
-"""Shared SparkSession builder for spark-submit entrypoints.
+"""The SparkSession builder shared by the spark-submit jobs and the tests.
 
-Mirrors the test fixture's configuration (shuffle partitions, Arrow,
-broadcast joins disabled) so job results match test/bench behaviour.
+Master and driver memory are launch-time settings (spark-submit
+arguments or ``PYSPARK_SUBMIT_ARGS``); this sets the SQL conf that is
+honoured after launch: shuffle partitions (``SPARK_SHUFFLE_PARTITIONS``,
+default 64), Arrow transfers, and broadcast joins disabled so joins
+exercise the shuffle path.
 """
 import os
 

@@ -4,8 +4,8 @@ For every arriving edge it first counts the semi-triangles closed
 against the current Bernoulli(p) sample (adding 1/p² to the global and
 incident local counters), then samples the edge with probability p.
 Sampling randomness is the deterministic per-edge ``uniform01`` hash,
-so one trial is bit-reproducible and matches the SQL engine
-(:mod:`repro.core.mascot_sql`) at the same seed.
+so one trial is bit-reproducible and matches the closed-form evaluator
+(:mod:`repro.core.closed_form`) at the same seed.
 """
 from __future__ import annotations
 

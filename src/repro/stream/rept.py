@@ -8,8 +8,9 @@ of Algorithm 2, faithfully including the ``τ_(u,v) ← |N_uv|``
 initialization at insert time.
 
 ``rept_run`` assembles a full REPT estimate (either algorithm) from c
-sequential processors — used by tests and small jobs; the NRMSE sweeps
-use the batch-equivalent SQL engine instead.
+sequential processors — the oracle that tests and the benchmark check
+against; the NRMSE sweeps use the closed-form evaluator
+(:mod:`repro.core.closed_form`) instead.
 """
 from __future__ import annotations
 
@@ -17,11 +18,9 @@ import time
 
 import numpy as np
 
-from repro.core.estimators import graybill_deal
-from repro.core.hashing import bucket, mix_seeds
+from repro.core.estimators import combine_alg2
+from repro.core.hashing import bucket, group_seed
 from repro.graphs.datasets import Stream
-
-_GROUP_SALT = 0xA11CE  # must match repro.core.rept_sql
 
 
 def rept_processor(
@@ -107,69 +106,48 @@ def rept_run(
             for i in range(c)
         ]
         tau_hat = (m * m / c) * sum(p["tau"] for p in procs)
-        locals_: dict[int, float] = {}
-        if track_local:
-            for p in procs:
-                for v, t in p["tau_v"].items():
-                    locals_[v] = locals_.get(v, 0.0) + t
-            locals_ = {v: t * m * m / c for v, t in locals_.items()}
+        locals_ = {v: t * (m * m / c) for v, t in _sum_local(procs, "tau_v").items()}
         return {"tau_hat": tau_hat, "tau_v_hat": locals_, "procs": procs}
 
     c1, c2 = divmod(c, m)
-    group_results: list[list[dict]] = []
-    for g in range(c1 + (1 if c2 else 0)):
-        gseed = mix_seeds(seed, g, _GROUP_SALT)
-        n_proc = m if g < c1 else c2
-        group_results.append(
-            [
-                rept_processor(stream, m, i, gseed, track_eta=True, track_local=track_local)
-                for i in range(n_proc)
-            ]
+    procs = [
+        rept_processor(
+            stream, m, i, group_seed(seed, g), track_eta=True, track_local=track_local
         )
-    full = [p for g in group_results[:c1] for p in g]
-    tau1 = (m / c1) * sum(p["tau"] for p in full)
-    if c2 == 0:
-        locals_: dict[int, float] = {}
-        if track_local:
-            for p in full:
-                for v, t in p["tau_v"].items():
-                    locals_[v] = locals_.get(v, 0.0) + t
-            locals_ = {v: t * m / c1 for v, t in locals_.items()}
-        return {"tau_hat": tau1, "tau_v_hat": locals_, "procs": full}
-    part = group_results[c1]
-    tau2 = (m * m / c2) * sum(p["tau"] for p in part)
-    eta_hat = (m**3 / c) * sum(p["eta"] for g in group_results for p in g)
-    w1 = tau1 * (m - 1) / c1
-    w2 = (tau1 * (m * m - c2) + 2.0 * eta_hat * (m - c2)) / c2
-    tau_hat = float(graybill_deal(tau1, w1, tau2, w2))
+        for g in range(c1 + (1 if c2 else 0))
+        for i in range(m if g < c1 else c2)
+    ]
+    full, part = procs[: c1 * m], procs[c1 * m :]
+    out = combine_alg2(
+        sum(p["tau"] for p in full),
+        sum(p["tau"] for p in part),
+        sum(p["eta"] for p in procs),
+        m,
+        c,
+    )
+    out = {k: float(x) for k, x in out.items()}
 
     locals_: dict[int, float] = {}
     if track_local:
-        t1: dict[int, float] = {}
-        t2: dict[int, float] = {}
-        ev: dict[int, float] = {}
-        for p in full:
-            for v, t in p["tau_v"].items():
-                t1[v] = t1.get(v, 0.0) + t
-        for p in part:
-            for v, t in p["tau_v"].items():
-                t2[v] = t2.get(v, 0.0) + t
-        for g in group_results:
-            for p in g:
-                for v, e in p["eta_v"].items():
-                    ev[v] = ev.get(v, 0.0) + e
-        for v in set(t1) | set(t2) | set(ev):
-            tv1 = t1.get(v, 0.0) * m / c1
-            tv2 = t2.get(v, 0.0) * m * m / c2
-            ehat = ev.get(v, 0.0) * m**3 / c
-            wv1 = tv1 * (m - 1) / c1
-            wv2 = (tv1 * (m * m - c2) + 2.0 * ehat * (m - c2)) / c2
-            locals_[v] = float(graybill_deal(tv1, wv1, tv2, wv2))
-    return {
-        "tau_hat": tau_hat,
-        "tau_v_hat": locals_,
-        "tau1": tau1,
-        "tau2": tau2,
-        "eta_hat": eta_hat,
-        "procs": [p for g in group_results for p in g],
-    }
+        t1 = _sum_local(full, "tau_v")
+        t2 = _sum_local(part, "tau_v")
+        ev = _sum_local(procs, "eta_v")
+        nodes = sorted(set(t1) | set(t2) | set(ev))
+        est = combine_alg2(
+            np.array([t1.get(v, 0) for v in nodes]),
+            np.array([t2.get(v, 0) for v in nodes]),
+            np.array([ev.get(v, 0) for v in nodes]),
+            m,
+            c,
+        )["tau_hat"]
+        locals_ = dict(zip(nodes, est.tolist()))
+    return {**out, "tau_v_hat": locals_, "procs": procs}
+
+
+def _sum_local(procs: list[dict], key: str) -> dict[int, int]:
+    """Per-node sum of the sparse counters ``key`` over processors."""
+    total: dict[int, int] = {}
+    for p in procs:
+        for v, x in p[key].items():
+            total[v] = total.get(v, 0) + x
+    return total

@@ -56,6 +56,25 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert (s1.u == s2.u).all() and (s1.k == s2.k).all()
 
 
+@pytest.mark.parametrize("damage", ["truncated", "wrong_keys"])
+def test_bad_cache_is_regenerated(tmp_path, monkeypatch, damage):
+    import repro.graphs.datasets as ds
+
+    monkeypatch.setattr(ds, "_CACHE_DIR", str(tmp_path))
+    s1 = ds.load_stream("YouTube", scale=0.05, seed=3, cache=True)
+    (path,) = tmp_path.glob("*.npz")
+    good = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(good[:-3])
+    else:
+        np.savez_compressed(path, t=s1.t, u=s1.u, v=s1.v, k=s1.k[::-1])
+    s2 = ds.load_stream("YouTube", scale=0.05, seed=3, cache=True)
+    for field in ("t", "u", "v", "k"):
+        assert (getattr(s1, field) == getattr(s2, field)).all()
+    assert path.read_bytes() == good
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
+
+
 def test_stream_pdf_columns():
     s = load_stream("YouTube", scale=0.05, seed=3, cache=False)
     pdf = stream_pdf(s)

@@ -1,50 +1,36 @@
 """Property-based cross-checks (hypothesis) on random tiny graphs.
 
-These never touch Spark — they pin the sequential simulator to the
-numpy reference over a randomized family of graphs, stream orders,
-m, c and seeds, which is where subtle semi-triangle accounting bugs
-would hide.
+These never touch Spark — they pin the sequential simulators to the
+closed-form evaluator, fed triangle arrays built by brute force, over a
+randomized family of graphs, stream orders, m, c and seeds, which is
+where subtle semi-triangle accounting bugs would hide.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reference import mascot_trial_count, rept_processor_counts
+from repro.core.closed_form import processor_counts
+from repro.core.hashing import bucket, uniform01
+from repro.graphs.exact import TriangleIndex
 from repro.stream.mascot import mascot_processor
 from repro.stream.rept import rept_processor
 from tests.helpers import brute_force, tiny_stream
 
 
-def _triangle_frames(stream):
-    """Build the reference's triangle/open/last frames from brute force."""
-    import pandas as pd
-
-    from repro.core.hashing import edge_key
-
-    bf = brute_force(stream)
-    rows = []
-    for nodes, edges in bf["triangles"]:
-        ks = [int(edge_key(a, b)[()]) for a, b in edges]
-        rows.append(
-            {
-                "x": nodes[0], "y": nodes[1], "z": nodes[2],
-                "k1": np.int64(np.uint64(ks[0]).astype(np.int64)),
-                "k2": np.int64(np.uint64(ks[1]).astype(np.int64)),
-                "k3": np.int64(np.uint64(ks[2]).astype(np.int64)),
-            }
-        )
-    tri = pd.DataFrame(
-        rows, columns=["x", "y", "z", "k1", "k2", "k3"]
+def _triangle_index(stream) -> TriangleIndex:
+    """The evaluator's input, from the brute-force triangle list."""
+    pos = {(a, b): t for t, a, b in zip(stream.t.tolist(), stream.u.tolist(), stream.v.tolist())}
+    tris = brute_force(stream)["triangles"]
+    return TriangleIndex.of(
+        stream,
+        [[pos[e] for e in edges] for _, edges in tris],
+        [nodes for nodes, _ in tris],
     )
-    open_rows = []
-    last_rows = []
-    for _, r in tri.iterrows():
-        open_rows.append({"gk": r["k1"], "pk": r["k2"]})
-        open_rows.append({"gk": r["k2"], "pk": r["k1"]})
-        last_rows.append({"gk": r["k3"], "p1": r["k1"], "p2": r["k2"]})
-    open_e = pd.DataFrame(open_rows, columns=["gk", "pk"])
-    last_e = pd.DataFrame(last_rows, columns=["gk", "p1", "p2"])
-    return tri, open_e, last_e, bf
+
+
+def _sparse(dense: np.ndarray, nodes: np.ndarray, i: int) -> dict:
+    """Row i of a processor × node count array as ``{v: count}``."""
+    return {int(nodes[j]): int(dense[i, j]) for j in np.flatnonzero(dense[i])}
 
 
 @given(
@@ -55,24 +41,27 @@ def _triangle_frames(stream):
 @settings(max_examples=25, deadline=None)
 def test_rept_stream_equals_reference(seed, m, hash_seed):
     stream = tiny_stream(n_nodes=18, n_edges=60, seed=seed)
-    tri, open_e, last_e, _ = _triangle_frames(stream)
+    tri = _triangle_index(stream)
     c = min(m, 3)
-    ref = rept_processor_counts(tri, open_e, last_e, m, c, hash_seed)
+    ref = processor_counts(tri, bucket(stream.k, hash_seed, m), c, local=True)
     for i in range(c):
-        r = rept_processor(stream, m, i, hash_seed, track_eta=True)
+        r = rept_processor(stream, m, i, hash_seed, track_eta=True, track_local=True)
         assert r["tau"] == ref["tau"][i]
         assert r["eta"] == ref["eta"][i]
+        assert r["tau_v"] == _sparse(ref["tau_v"], tri.nodes, i)
+        eta_v = {v: x for v, x in r["eta_v"].items() if x}  # the loop also adds zeros
+        assert eta_v == _sparse(ref["eta_v"], tri.nodes, i)
 
 
 @given(seed=st.integers(0, 10_000), hash_seed=st.integers(0, 2**32))
 @settings(max_examples=25, deadline=None)
 def test_mascot_stream_equals_reference(seed, hash_seed):
     stream = tiny_stream(n_nodes=18, n_edges=60, seed=seed)
-    tri, *_ = _triangle_frames(stream)
     p = 0.5
-    ref = mascot_trial_count(tri, p, hash_seed)
+    held = uniform01(stream.k, hash_seed) < p
+    ref = processor_counts(_triangle_index(stream), (~held).astype(np.int64), 1)
     got = mascot_processor(stream, p, hash_seed)
-    assert got["cnt"] == ref
+    assert got["cnt"] == ref["tau"][0]
 
 
 @given(seed=st.integers(0, 10_000))

@@ -2,13 +2,12 @@
 import numpy as np
 import pytest
 
-from repro.core.mascot_sql import (
-    chunk_parallel_global,
+from repro.core.closed_form import (
     chunk_parallel_local,
     mascot_local_trial_counts,
     mascot_trial_estimates,
 )
-from repro.core.reference import mascot_trial_count
+from repro.stream.engine import pooled_parallel_estimates
 from repro.stream.gps import gps_processor
 from repro.stream.mascot import mascot_processor
 from repro.stream.triest import triest_processor
@@ -23,13 +22,11 @@ def yt(tables_for):
 class TestMascot:
     @pytest.mark.parametrize("p", [0.2, 0.5])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_stream_matches_sql_and_reference(self, spark, yt, p, seed):
-        tri = yt.triangles.toPandas()
-        ref = mascot_trial_count(tri, p, seed) / (p * p)
-        stream = mascot_processor(yt.stream, p, seed)["tau_hat"]
-        sql = mascot_trial_estimates(spark, yt, p, [seed])[0]
-        assert stream == pytest.approx(ref)
-        assert sql == pytest.approx(ref)
+    def test_stream_matches_kernel(self, spark, yt, p, seed):
+        stream = mascot_processor(yt.stream, p, seed)
+        kernel = mascot_trial_estimates(spark, yt, p, [seed])[0]
+        assert kernel == stream["cnt"] / (p * p)
+        assert stream["tau_hat"] == pytest.approx(kernel)
 
     def test_p1_exact_global_and_local(self, yt):
         bf = brute_force(yt.stream)
@@ -58,15 +55,15 @@ class TestMascot:
 
     def test_chunk_parallel_global(self):
         pool = np.arange(10, dtype=float)
-        out = chunk_parallel_global(pool, 3)
+        out = pooled_parallel_estimates(pool, 3)
         assert out.tolist() == [1.0, 4.0, 7.0]
         with pytest.raises(ValueError):
-            chunk_parallel_global(pool[:2], 3)
+            pooled_parallel_estimates(pool[:2], 3)
 
     def test_chunk_parallel_reduces_error(self, spark, yt):
         pool = mascot_trial_estimates(spark, yt, 0.2, [100 + i for i in range(240)])
         err1 = np.abs(pool - yt.tau).mean()
-        err8 = np.abs(chunk_parallel_global(pool, 8) - yt.tau).mean()
+        err8 = np.abs(pooled_parallel_estimates(pool, 8) - yt.tau).mean()
         assert err8 < err1
 
     def test_local_counts_match_stream(self, spark, yt):

@@ -1,13 +1,11 @@
-"""Bit-exact cross-checks of the three REPT implementation paths:
-sequential streaming simulator ↔ numpy reference ↔ Spark SQL engine.
+"""Bit-exact cross-checks of the two REPT implementation paths:
+sequential streaming simulator ↔ closed-form evaluator.
 """
-import math
-
 import numpy as np
 import pytest
 
-from repro.core.reference import rept_processor_counts
-from repro.core.rept_sql import rept_global_runs, rept_local_runs
+from repro.core.closed_form import processor_counts, rept_global_runs, rept_local_runs
+from repro.core.hashing import bucket
 from repro.stream.rept import rept_processor, rept_run
 from tests.helpers import brute_force, tiny_stream
 
@@ -17,49 +15,57 @@ SEEDS = [101, 202]
 
 @pytest.fixture(scope="module")
 def setup(spark, tables_for):
-    t = tables_for("YouTube", 0.1)
-    tri = t.triangles.toPandas()
-    open_e = t.open_edges.toPandas()
-    last_e = t.last_edges.toPandas()
-    return t, tri, open_e, last_e
+    return tables_for("YouTube", 0.1)
 
 
 @pytest.mark.parametrize("m,c", CASES)
 @pytest.mark.parametrize("seed", SEEDS)
 class TestStreamVsReference:
+    def _kernel(self, t, m, c, seed):
+        return processor_counts(t.index, bucket(t.stream.k, seed, m), c, local=True)
+
     def test_tau_per_processor(self, setup, m, c, seed):
-        t, tri, open_e, last_e = setup
-        ref = rept_processor_counts(tri, open_e, last_e, m, c, seed)
-        got = [rept_processor(t.stream, m, i, seed)["tau"] for i in range(c)]
+        ref = self._kernel(setup, m, c, seed)
+        got = [rept_processor(setup.stream, m, i, seed)["tau"] for i in range(c)]
         assert got == ref["tau"].tolist()
 
     def test_eta_per_processor(self, setup, m, c, seed):
-        t, tri, open_e, last_e = setup
-        ref = rept_processor_counts(tri, open_e, last_e, m, c, seed)
+        ref = self._kernel(setup, m, c, seed)
         got = [
-            rept_processor(t.stream, m, i, seed, track_eta=True)["eta"] for i in range(c)
+            rept_processor(setup.stream, m, i, seed, track_eta=True)["eta"] for i in range(c)
         ]
         assert got == ref["eta"].tolist()
 
     def test_tau_v_per_processor(self, setup, m, c, seed):
-        t, tri, open_e, last_e = setup
-        ref = rept_processor_counts(tri, open_e, last_e, m, c, seed)
+        ref = self._kernel(setup, m, c, seed)
+        want = {
+            (int(i), int(setup.index.nodes[j])): int(ref["tau_v"][i, j])
+            for i, j in zip(*np.nonzero(ref["tau_v"]))
+        }
         got = {}
         for i in range(c):
-            r = rept_processor(t.stream, m, i, seed, track_local=True)
+            r = rept_processor(setup.stream, m, i, seed, track_local=True)
             for v, x in r["tau_v"].items():
                 got[(i, v)] = x
-        assert got == ref["tau_v"]
+        assert got == want
 
 
 @pytest.mark.parametrize("m,c", CASES)
-def test_sql_global_matches_stream(setup, spark, m, c):
-    t, *_ = setup
+def test_kernel_global_matches_stream(setup, spark, m, c):
+    t = setup
     seed = 4242
     procs = [rept_processor(t.stream, m, i, seed) for i in range(c)]
     expect = (m * m / c) * sum(p["tau"] for p in procs)
     got = rept_global_runs(spark, t, m, c, [seed])["tau_hat"].iloc[0]
-    assert got == pytest.approx(expect)
+    assert got == expect
+
+
+@pytest.mark.parametrize("m,c", CASES)
+def test_kernel_local_matches_stream(setup, spark, m, c):
+    seed = 4242
+    run = rept_run(setup.stream, m, c, seed, track_local=True)
+    got = rept_local_runs(spark, setup, m, c, [seed])
+    assert dict(zip(got["v"].tolist(), got["est"].tolist())) == run["tau_v_hat"]
 
 
 @pytest.mark.parametrize("m,c", [(3, 7), (3, 6), (4, 9), (2, 5)])
@@ -68,48 +74,43 @@ class TestAlgorithm2:
     """c > m: groups, η̂ and the Graybill–Deal combination."""
 
     def test_global_matches_stream(self, setup, spark, m, c, seed):
-        t, *_ = setup
-        run = rept_run(t.stream, m, c, seed)
-        got = rept_global_runs(spark, t, m, c, [seed])
-        assert got["tau_hat"].iloc[0] == pytest.approx(run["tau_hat"])
+        run = rept_run(setup.stream, m, c, seed)
+        got = rept_global_runs(spark, setup, m, c, [seed])
+        assert got["tau_hat"].iloc[0] == run["tau_hat"]
 
     def test_diagnostics_match(self, setup, spark, m, c, seed):
-        t, *_ = setup
         if c % m == 0:
             pytest.skip("no diagnostics for c2 == 0")
-        run = rept_run(t.stream, m, c, seed)
-        got = rept_global_runs(spark, t, m, c, [seed])
-        assert got["tau1"].iloc[0] == pytest.approx(run["tau1"])
-        assert got["tau2"].iloc[0] == pytest.approx(run["tau2"])
-        assert got["eta_hat"].iloc[0] == pytest.approx(run["eta_hat"])
+        run = rept_run(setup.stream, m, c, seed)
+        got = rept_global_runs(spark, setup, m, c, [seed])
+        assert got["tau1"].iloc[0] == run["tau1"]
+        assert got["tau2"].iloc[0] == run["tau2"]
+        assert got["eta_hat"].iloc[0] == run["eta_hat"]
 
     def test_local_matches_stream(self, setup, spark, m, c, seed):
-        t, *_ = setup
-        run = rept_run(t.stream, m, c, seed, track_local=True)
-        got = rept_local_runs(spark, t, m, c, [seed])
-        sql = {int(v): e for v, e in zip(got["v"], got["est"]) if e != 0}
+        run = rept_run(setup.stream, m, c, seed, track_local=True)
+        got = rept_local_runs(spark, setup, m, c, [seed])
+        kernel = {int(v): e for v, e in zip(got["v"], got["est"]) if e != 0}
         stream = {v: e for v, e in run["tau_v_hat"].items() if e != 0}
-        assert set(sql) == set(stream)
-        for v in sql:
-            assert math.isclose(sql[v], stream[v], rel_tol=1e-9)
+        assert kernel == stream
 
 
 class TestExactness:
     """m = 1, c = 1 degenerates to exact counting."""
 
     def test_global(self, setup):
-        t, *_ = setup
+        t = setup
         r = rept_processor(t.stream, 1, 0, 7, track_local=True)
         assert r["tau"] == t.tau
 
     def test_local(self, setup):
-        t, *_ = setup
+        t = setup
         bf = brute_force(t.stream)
         r = rept_processor(t.stream, 1, 0, 7, track_local=True)
         assert r["tau_v"] == bf["tau_v"]
 
     def test_all_edges_stored(self, setup):
-        t, *_ = setup
+        t = setup
         r = rept_processor(t.stream, 1, 0, 7)
         assert r["n_sampled"] == t.stream.n_edges
 
@@ -117,13 +118,13 @@ class TestExactness:
 class TestSamplingModel:
     def test_partition_disjoint(self, setup):
         # every edge is stored by exactly one of the m buckets
-        t, *_ = setup
+        t = setup
         m, seed = 4, 31
         counts = [rept_processor(t.stream, m, i, seed)["n_sampled"] for i in range(m)]
         assert sum(counts) == t.stream.n_edges
 
     def test_sample_fraction(self, setup):
-        t, *_ = setup
+        t = setup
         m, seed = 5, 17
         r = rept_processor(t.stream, m, 0, seed)
         frac = r["n_sampled"] / t.stream.n_edges
@@ -141,7 +142,7 @@ class TestStatistics:
 
     @pytest.mark.parametrize("m,c", [(4, 2), (4, 4), (3, 7)])
     def test_unbiased(self, setup, spark, m, c):
-        t, *_ = setup
+        t = setup
         est = self._runs(spark, t, m, c)
         se = est.std() / np.sqrt(self.R)
         assert abs(est.mean() - t.tau) < 5 * se + 0.02 * t.tau
@@ -150,13 +151,13 @@ class TestStatistics:
     def test_variance_formula_c_le_m(self, setup, spark, m, c):
         from repro.core.estimators import var_rept
 
-        t, *_ = setup
+        t = setup
         est = self._runs(spark, t, m, c)
         want = var_rept(t.tau, t.eta, m, c)
         assert 0.55 < est.var() / want < 1.7
 
     def test_variance_collapses_at_c_eq_m(self, setup, spark):
-        t, *_ = setup
+        t = setup
         m = 5
         est = self._runs(spark, t, m, m)
         want = t.tau * (m - 1)
