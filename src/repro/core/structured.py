@@ -7,6 +7,9 @@ processor must observe every edge to close semi-triangles, but only
 inserts the edges hashing to its bucket). Per-processor state —
 sampled adjacency + τ^(i) — lives in Structured Streaming state via
 ``applyInPandasWithState``; each micro-batch emits the running τ^(i).
+The query runs with one shuffle (state) partition per processor, so its
+per-batch task count follows c rather than the session's default; the
+caller's session conf is left as it was.
 
 End-of-stream counts are identical to the sequential simulator (and so
 to the closed-form evaluator) at the same (m, c, seed) — asserted in
@@ -57,6 +60,8 @@ def rept_structured_counts(
     """Run REPT(1/m, c ≤ m) over a file-source edge stream; blocks until
     all available files are processed and returns pandas ``(proc, tau)``
     with the final per-processor semi-triangle counts."""
+    if m < 1 or c < 1:
+        raise ValueError(f"need m >= 1 and c >= 1, got m={m}, c={c}")
     if c > m:
         raise ValueError("structured job implements the c <= m case")
     reader = spark.readStream.schema(EDGE_SCHEMA)
@@ -79,15 +84,13 @@ def rept_structured_counts(
         pdf = pd.concat(list(pdfs)).sort_values("t")
         buckets = bucket(pdf["k"].to_numpy().view(np.uint64), seed, m)
         t_max = int(pdf["t"].max())
-        for a, b, bk in zip(pdf["a"].to_numpy(), pdf["b"].to_numpy(), buckets):
-            a = int(a)
-            b = int(b)
+        for a, b, mine in zip(pdf["a"].tolist(), pdf["b"].tolist(), (buckets == proc).tolist()):
             na = adj.get(a)
             nb = adj.get(b)
             if na and nb:
                 common = na & nb if len(na) <= len(nb) else nb & na
                 tau += len(common)
-            if bk == proc:
+            if mine:
                 adj.setdefault(a, set()).add(b)
                 adj.setdefault(b, set()).add(a)
         state.update((pickle.dumps(adj), int(tau)))
@@ -101,14 +104,21 @@ def rept_structured_counts(
         timeoutConf="NoTimeout",
     )
     qname = f"rept_structured_{uuid.uuid4().hex[:8]}"
-    query = (
-        out.writeStream.format("memory")
-        .queryName(qname)
-        .outputMode("update")
-        .option("checkpointLocation", checkpoint_dir)
-        .trigger(availableNow=True)
-        .start()
-    )
+    # The query clones the session conf at start() and its offset log
+    # pins the partition count, so the caller's value can come back at once.
+    caller_partitions = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", str(c))
+    try:
+        query = (
+            out.writeStream.format("memory")
+            .queryName(qname)
+            .outputMode("update")
+            .option("checkpointLocation", checkpoint_dir)
+            .trigger(availableNow=True)
+            .start()
+        )
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", caller_partitions)
     query.awaitTermination()
     result = (
         spark.table(qname)

@@ -2,6 +2,7 @@
 profile knobs, seed derivation, and result CSV output."""
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pandas as pd
@@ -53,7 +54,16 @@ def dataset_seed(base: int, name: str, *extra: int) -> int:
 
 
 def save_result(df: pd.DataFrame, name: str) -> str:
+    """Write ``results/<name>.csv`` atomically: a failed write leaves the
+    previous file intact."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.csv")
-    df.to_csv(path, index=False)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        df.to_csv(tmp, index=False)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     return path

@@ -1,10 +1,10 @@
 """Figure 7 — runtime of the four parallel methods vs p, at c = 10.
 
-Each method runs its c = 10 processors as concurrent Spark tasks; the
-reported time is the max per-processor loop time (the parallel
-wall-clock of the paper's model, independent of scheduler noise). The
-paper's shape: REPT ≈ parallel MASCOT, 2–4× faster than parallel
-Trièst, 4–10× faster than parallel GPS.
+Each method's c = 10 processors run in one Spark fan-out, as many at a
+time as there are cores; the reported time is the max per-processor loop
+time (the parallel wall-clock of the paper's model, independent of
+scheduler noise). The paper's shape: REPT ≈ parallel MASCOT, 2–4×
+faster than parallel Trièst, 4–10× faster than parallel GPS.
 """
 from __future__ import annotations
 

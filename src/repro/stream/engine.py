@@ -1,10 +1,14 @@
 """Parallel fan-out of sequential streaming trials as Spark tasks.
 
 A paper "processor" (or an independent baseline trial) is one unit of
-work; the edge stream is broadcast once and each Spark task replays it
-through the requested per-processor algorithm. This is the
-distributed-dataflow realization of the paper's parallel model: REPT's
-c processors genuinely run concurrently on the cluster (here local[*]).
+work: one sequential pass of the edge stream through the requested
+per-processor algorithm. The stream is broadcast once; the trials are
+dealt round-robin into one slice per core (``defaultParallelism``), and
+each slice runs as one Spark task of a single shuffle-free stage, its
+trials one after another. This is the distributed-dataflow realization
+of the paper's parallel model: REPT's c processors genuinely run
+concurrently on the cluster (here local[*]), as many at a time as there
+are cores, without paying a task's scheduling cost per trial.
 
 Trial specs are dicts:
 
@@ -20,8 +24,7 @@ sparse local values when ``track_local``.
 """
 from __future__ import annotations
 
-import json
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -33,7 +36,37 @@ from repro.stream.mascot import mascot_processor
 from repro.stream.rept import rept_processor
 from repro.stream.triest import triest_processor
 
-_SCHEMA = "trial long, v long, est double, eta double, n_sampled long, elapsed double"
+_DTYPES = {"trial": "int64", "v": "int64", "est": "float64", "eta": "float64",
+           "n_sampled": "int64", "elapsed": "float64"}
+_COLUMNS = list(_DTYPES)
+
+#: the keys every spec of a method must carry (optional ones aside).
+_REQUIRED = {
+    "rept": ("m", "proc", "seed"),
+    "mascot": ("p", "seed"),
+    "triest": ("budget", "seed"),
+    "gps": ("budget", "seed"),
+}
+
+
+def _check_spec(spec: dict) -> None:
+    """Raise ``ValueError`` for a spec no processor could run."""
+    method = spec.get("method")
+    if method not in _REQUIRED:
+        raise ValueError(f"unknown method {method!r}")
+    missing = [key for key in _REQUIRED[method] if key not in spec]
+    if missing:
+        raise ValueError(f"{method} spec is missing {missing}")
+    if method == "rept":
+        if spec["m"] < 1:
+            raise ValueError(f"rept needs m >= 1, got m={spec['m']}")
+        if not 0 <= spec["proc"] < spec["m"]:
+            raise ValueError(f"rept needs 0 <= proc < m={spec['m']}, got proc={spec['proc']}")
+    elif method == "mascot":
+        if not 0 < spec["p"] <= 1:
+            raise ValueError(f"mascot needs p in (0, 1], got p={spec['p']}")
+    elif spec["budget"] < 2:
+        raise ValueError(f"{method} needs a budget of at least 2 edges, got {spec['budget']}")
 
 
 def _run_one(stream: Stream, spec: dict, track_local: bool) -> tuple[dict, dict, dict]:
@@ -53,13 +86,11 @@ def _run_one(stream: Stream, spec: dict, track_local: bool) -> tuple[dict, dict,
         r = mascot_processor(stream, spec["p"], spec["seed"], track_local=track_local)
     elif method == "triest":
         r = triest_processor(stream, spec["budget"], spec["seed"], track_local=track_local)
-    elif method == "gps":
+    else:
         r = gps_processor(
             stream, spec["budget"], spec["seed"],
             alpha=spec.get("alpha", 9.0), track_local=track_local,
         )
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return (
         {"est": float(r["tau_hat"]), "eta": 0.0,
          "n_sampled": r["n_sampled"], "elapsed": r["elapsed"]},
@@ -73,52 +104,39 @@ def run_stream_trials(
     specs: list[dict],
     track_local: bool = False,
 ) -> pd.DataFrame:
-    """Run every spec as a Spark task over the broadcast stream; returns
-    the concatenated output rows (see module docstring) as pandas."""
+    """Run every spec over the broadcast stream, one Spark task per core;
+    returns the concatenated output rows (see module docstring) as
+    pandas. Raises ``ValueError`` for a bad spec before any job starts."""
     if not specs:
-        return pd.DataFrame(
-            columns=["trial", "v", "est", "eta", "n_sampled", "elapsed"]
-        )
+        return pd.DataFrame(columns=_COLUMNS)
+    for spec in specs:
+        _check_spec(spec)
     sc = spark.sparkContext
+    # Round-robin: specs arrive grouped by method, so contiguous chunks
+    # would give one core every trial of the slowest method.
+    n = min(len(specs), sc.defaultParallelism)
+    trials = list(enumerate(specs))
+    slices = [trials[i::n] for i in range(n)]
     bc = sc.broadcast(
         {"name": stream.name, "t": stream.t, "u": stream.u, "v": stream.v, "k": stream.k}
     )
-    spec_pdf = pd.DataFrame(
-        {
-            "trial": np.arange(len(specs), dtype=np.int64),
-            "spec": [json.dumps(s) for s in specs],
-        }
-    )
-    n_part = min(len(specs), max(sc.defaultParallelism * 4, 16), 512)
-    spec_df = spark.createDataFrame(spec_pdf).repartition(n_part)
 
-    def _map(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def _run_slices(part: Iterable[list[tuple[int, dict]]]) -> Iterator[tuple]:
         d = bc.value
         s = Stream(d["name"], d["t"], d["u"], d["v"], d["k"])
-        for pdf in batches:
-            rows: list[tuple] = []
-            for trial, spec_json in zip(pdf["trial"], pdf["spec"]):
-                spec = json.loads(spec_json)
+        for chunk in part:
+            for trial, spec in chunk:
                 g, loc, loc_eta = _run_one(s, spec, track_local)
-                rows.append(
-                    (int(trial), -1, g["est"], g["eta"], g["n_sampled"], g["elapsed"])
-                )
+                yield (trial, -1, g["est"], g["eta"], g["n_sampled"], g["elapsed"])
                 if track_local:
                     for v, est in loc.items():
-                        rows.append(
-                            (int(trial), int(v), float(est),
-                             float(loc_eta.get(v, 0.0)), 0, 0.0)
-                        )
-            if rows:
-                yield pd.DataFrame(
-                    rows,
-                    columns=["trial", "v", "est", "eta", "n_sampled", "elapsed"],
-                )
+                        yield (trial, int(v), float(est), float(loc_eta.get(v, 0.0)), 0, 0.0)
 
     try:
-        out = spec_df.mapInPandas(_map, schema=_SCHEMA).toPandas()
+        rows = sc.parallelize(slices, n).mapPartitions(_run_slices).collect()
     finally:
         bc.unpersist()
+    out = pd.DataFrame(rows, columns=_COLUMNS).astype(_DTYPES)
     return out.sort_values(["trial", "v"]).reset_index(drop=True)
 
 

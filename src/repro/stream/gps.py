@@ -31,7 +31,6 @@ def gps_processor(
     if budget < 2:
         raise ValueError("GPS needs a budget of at least 2 edges")
     u01 = uniform01(stream.k, seed)
-    u_arr, v_arr = stream.u, stream.v
     adj: dict[int, set[int]] = {}
     weight: dict[tuple[int, int], float] = {}
     heap: list[tuple[float, int, int]] = []  # (rank, a, b)
@@ -39,9 +38,7 @@ def gps_processor(
     tau = 0.0
     tau_v: dict[int, float] = {}
     t0 = time.perf_counter()
-    for j in range(len(u_arr)):
-        a = int(u_arr[j])
-        b = int(v_arr[j])
+    for a, b, uj in zip(stream.u.tolist(), stream.v.tolist(), u01.tolist()):
         ka = (a, b) if a < b else (b, a)
         na = adj.get(a)
         nb = adj.get(b)
@@ -64,7 +61,7 @@ def gps_processor(
                     tau_v[b] = tau_v.get(b, 0.0) + inc
                     tau_v[w] = tau_v.get(w, 0.0) + inc
         wgt = 1.0 + alpha * n_common
-        rank = wgt / max(u01[j], 1e-300)
+        rank = wgt / max(uj, 1e-300)
         if len(heap) < budget:
             heapq.heappush(heap, (rank, a, b))
             adj.setdefault(a, set()).add(b)

@@ -22,14 +22,11 @@ def mascot_processor(
     the estimate ``tau_hat = cnt/p²``, sparse local estimates, sample
     size and loop wall time."""
     sampled = uniform01(stream.k, seed) < p
-    u_arr, v_arr = stream.u, stream.v
     adj: dict[int, set[int]] = {}
     cnt = 0
     cnt_v: dict[int, int] = {}
     t0 = time.perf_counter()
-    for j in range(len(u_arr)):
-        a = int(u_arr[j])
-        b = int(v_arr[j])
+    for a, b, keep in zip(stream.u.tolist(), stream.v.tolist(), sampled.tolist()):
         na = adj.get(a)
         nb = adj.get(b)
         if na and nb:
@@ -42,7 +39,7 @@ def mascot_processor(
                     cnt_v[b] = cnt_v.get(b, 0) + n_common
                     for w in common:
                         cnt_v[w] = cnt_v.get(w, 0) + 1
-        if sampled[j]:
+        if keep:
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
     elapsed = time.perf_counter() - t0

@@ -37,7 +37,6 @@ def rept_processor(
     ``eta_v``, the number of stored edges, and the loop wall time.
     """
     buckets = bucket(stream.k, seed, m)
-    u_arr, v_arr = stream.u, stream.v
     adj: dict[int, set[int]] = {}
     tau = 0
     eta = 0
@@ -45,9 +44,7 @@ def rept_processor(
     eta_v: dict[int, int] = {}
     tau_edge: dict[tuple[int, int], int] = {}
     t0 = time.perf_counter()
-    for j in range(len(u_arr)):
-        a = int(u_arr[j])
-        b = int(v_arr[j])
+    for a, b, mine in zip(stream.u.tolist(), stream.v.tolist(), (buckets == proc).tolist()):
         na = adj.get(a)
         nb = adj.get(b)
         n_common = 0
@@ -74,7 +71,7 @@ def rept_processor(
                             eta_v[b] = eta_v.get(b, 0) + tvw
                         tau_edge[kaw] = tuw + 1
                         tau_edge[kbw] = tvw + 1
-        if buckets[j] == proc:
+        if mine:
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
             if track_eta:

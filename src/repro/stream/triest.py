@@ -22,8 +22,7 @@ def triest_processor(
     if budget < 2:
         raise ValueError("Trièst needs a budget of at least 2 edges")
     rng = np.random.default_rng(seed)
-    u_arr, v_arr = stream.u, stream.v
-    n = len(u_arr)
+    n = stream.n_edges
     # Pre-draw reservoir randomness in bulk (cheaper than per-step calls).
     coins = rng.random(n)
     slots = rng.integers(0, budget, n)
@@ -33,10 +32,8 @@ def triest_processor(
     tau_v: dict[int, float] = {}
     mm1 = budget * (budget - 1)
     t0 = time.perf_counter()
-    for j in range(n):
-        a = int(u_arr[j])
-        b = int(v_arr[j])
-        t = j + 1
+    edges = zip(stream.u.tolist(), stream.v.tolist(), coins.tolist(), slots.tolist())
+    for t, (a, b, coin, slot) in enumerate(edges, start=1):
         weight = max(1.0, (t - 1) * (t - 2) / mm1)
         na = adj.get(a)
         nb = adj.get(b)
@@ -54,11 +51,11 @@ def triest_processor(
             reservoir.append((a, b))
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
-        elif coins[j] < budget / t:
-            out_a, out_b = reservoir[slots[j]]
+        elif coin < budget / t:
+            out_a, out_b = reservoir[slot]
             adj[out_a].discard(out_b)
             adj[out_b].discard(out_a)
-            reservoir[slots[j]] = (a, b)
+            reservoir[slot] = (a, b)
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
     elapsed = time.perf_counter() - t0

@@ -1,4 +1,6 @@
 """Tests for the Spark-parallel streaming trial driver."""
+import uuid
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.stream.engine import (
     pooled_parallel_local,
     run_stream_trials,
 )
+from repro.stream.gps import gps_processor
 from repro.stream.mascot import mascot_processor
 from repro.stream.rept import rept_processor
 from repro.stream.triest import triest_processor
@@ -16,6 +19,29 @@ from repro.stream.triest import triest_processor
 @pytest.fixture(scope="module")
 def yt(tables_for):
     return tables_for("YouTube", 0.1).stream
+
+
+@pytest.fixture
+def job_group(spark):
+    """Tag the Spark jobs a test starts with a fresh group; yields a
+    function returning (jobs, total tasks) run under it so far."""
+    sc = spark.sparkContext
+    group = f"test-engine-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "test_engine")
+    tracker = sc.statusTracker()
+
+    def counts() -> tuple[int, int]:
+        jobs = tracker.getJobIdsForGroup(group)
+        tasks = sum(
+            tracker.getStageInfo(stage).numTasks
+            for job in jobs
+            for stage in tracker.getJobInfo(job).stageIds
+        )
+        return len(jobs), tasks
+
+    yield counts
+    sc.setLocalProperty("spark.jobGroup.id", None)
+    sc.setLocalProperty("spark.job.description", None)
 
 
 def test_all_trials_returned(spark, yt):
@@ -30,6 +56,55 @@ def test_empty_specs(spark, yt):
     assert out.empty
 
 
+def test_one_job_one_task_per_core(spark, yt, job_group):
+    specs = [{"method": "mascot", "p": 0.3, "seed": i} for i in range(10)]
+    run_stream_trials(spark, yt, specs)
+    assert job_group() == (1, min(10, spark.sparkContext.defaultParallelism))
+
+
+def test_output_dtypes(spark, yt):
+    specs = [{"method": "rept", "m": 3, "proc": i, "seed": 1} for i in range(3)]
+    out = run_stream_trials(spark, yt, specs, track_local=True)
+    assert out.dtypes.astype(str).tolist() == [
+        "int64", "int64", "float64", "float64", "int64", "float64"
+    ]
+    assert out.equals(out.sort_values(["trial", "v"]).reset_index(drop=True))
+
+
+def _direct(stream, spec):
+    """(est, eta, n_sampled, local est, local eta) of the simulator call
+    a spec stands for, with local counts on."""
+    method, seed = spec["method"], spec["seed"]
+    if method == "rept":
+        r = rept_processor(stream, spec["m"], spec["proc"], seed, track_eta=True, track_local=True)
+        return r["tau"], r["eta"], r["n_sampled"], r["tau_v"], r["eta_v"]
+    if method == "mascot":
+        r = mascot_processor(stream, spec["p"], seed, track_local=True)
+    elif method == "triest":
+        r = triest_processor(stream, spec["budget"], seed, track_local=True)
+    else:
+        r = gps_processor(stream, spec["budget"], seed, track_local=True)
+    return r["tau_hat"], 0.0, r["n_sampled"], r["tau_v_hat"], {}
+
+
+def test_mixed_fanout_equals_direct_calls(spark, yt):
+    specs = (
+        [{"method": "rept", "m": 3, "proc": i, "seed": 4, "track_eta": True} for i in range(3)]
+        + [{"method": "mascot", "p": 0.4, "seed": i} for i in range(2)]
+        + [{"method": "triest", "budget": 150, "seed": i} for i in range(2)]
+        + [{"method": "gps", "budget": 75, "seed": i} for i in range(2)]
+    )
+    out = run_stream_trials(spark, yt, specs, track_local=True)
+    for trial, spec in enumerate(specs):
+        rows = out[out["trial"] == trial]
+        glob = rows[rows["v"] == -1].iloc[0]
+        loc = rows[rows["v"] >= 0]
+        est, eta, n_sampled, tau_v, eta_v = _direct(yt, spec)
+        assert (glob["est"], glob["eta"], glob["n_sampled"]) == (est, eta, n_sampled)
+        assert dict(zip(loc["v"], loc["est"])) == tau_v
+        assert dict(zip(loc["v"], loc["eta"])) == {v: eta_v.get(v, 0) for v in tau_v}
+
+
 @pytest.mark.parametrize(
     "spec,direct",
     [
@@ -40,7 +115,7 @@ def test_empty_specs(spark, yt):
 )
 def test_engine_matches_direct_call(spark, yt, spec, direct):
     out = global_estimates(run_stream_trials(spark, yt, [spec]))
-    assert out["est"].iloc[0] == pytest.approx(direct(yt))
+    assert out["est"].iloc[0] == direct(yt)
 
 
 def test_rept_eta_carried(spark, yt):
@@ -56,7 +131,7 @@ def test_local_rows(spark, yt):
     loc = out[out["v"] >= 0]
     want = mascot_processor(yt, 0.5, 3, track_local=True)["tau_v_hat"]
     got = {int(v): e for v, e in zip(loc["v"], loc["est"])}
-    assert got == pytest.approx(want)
+    assert got == want
 
 
 def test_elapsed_positive(spark, yt):
@@ -66,8 +141,35 @@ def test_elapsed_positive(spark, yt):
 
 
 def test_unknown_method_raises(spark, yt):
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         run_stream_trials(spark, yt, [{"method": "nope", "seed": 1}])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"method": "nope", "seed": 1},
+        {"seed": 1},
+        {"method": "rept", "m": 4, "seed": 1},
+        {"method": "mascot", "seed": 1},
+        {"method": "rept", "m": 0, "proc": 0, "seed": 1},
+        {"method": "rept", "m": 4, "proc": 4, "seed": 1},
+        {"method": "rept", "m": 4, "proc": -1, "seed": 1},
+        {"method": "mascot", "p": 0.0, "seed": 1},
+        {"method": "mascot", "p": 1.5, "seed": 1},
+        {"method": "triest", "budget": 1, "seed": 1},
+        {"method": "gps", "budget": 1, "seed": 1},
+    ],
+    ids=[
+        "unknown_method", "no_method", "missing_proc", "missing_p", "m<1",
+        "proc>=m", "proc<0", "p=0", "p>1", "triest_budget<2", "gps_budget<2",
+    ],
+)
+def test_bad_spec_rejected_before_any_job(spark, yt, job_group, spec):
+    good = {"method": "mascot", "p": 0.5, "seed": 1}
+    with pytest.raises(ValueError):
+        run_stream_trials(spark, yt, [good, spec])
+    assert job_group() == (0, 0)
 
 
 def test_pooled_parallel_estimates():
@@ -85,4 +187,4 @@ def test_pooled_parallel_local(spark, yt):
     v = sparse["v"].iloc[0]
     run0 = sparse[(sparse["run"] == 0) & (sparse["v"] == v)]["est"].iloc[0]
     want = (direct[0].get(v, 0.0) + direct[1].get(v, 0.0)) / 2
-    assert run0 == pytest.approx(want)
+    assert run0 == want

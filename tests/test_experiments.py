@@ -1,9 +1,13 @@
 """Smoke + behavioral tests of the experiment harnesses at tiny scale,
 including the paper's headline claim (REPT beats naive parallelism).
 """
+import os
+
 import numpy as np
+import pandas as pd
 import pytest
 
+import repro.experiments.common as common
 from repro.experiments.fig1 import run_fig1
 from repro.experiments.global_nrmse import run_global_nrmse
 from repro.experiments.local_nrmse import run_local_nrmse
@@ -100,3 +104,22 @@ def test_single_thread(spark):
     assert set(out["method"]) == {"rept", "mascot_s", "triest_s", "gps_s"}
     assert (out["time_s"] > 0).all()
     assert np.isfinite(out["nrmse"]).all()
+
+
+def test_save_result_failed_write_keeps_old_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
+    path = common.save_result(pd.DataFrame({"a": [1, 2]}), "x")
+    with open(path) as f:
+        before = f.read()
+
+    def partial_write(self, target, **kwargs):
+        with open(target, "w") as f:
+            f.write("a\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pd.DataFrame, "to_csv", partial_write)
+    with pytest.raises(OSError):
+        common.save_result(pd.DataFrame({"a": [3]}), "x")
+    with open(path) as f:
+        assert f.read() == before
+    assert os.listdir(tmp_path) == ["x.csv"]

@@ -10,6 +10,7 @@ from repro.core.closed_form import (
 from repro.stream.engine import pooled_parallel_estimates
 from repro.stream.gps import gps_processor
 from repro.stream.mascot import mascot_processor
+from repro.graphs.datasets import load_stream
 from repro.stream.triest import triest_processor
 from tests.helpers import brute_force
 
@@ -151,3 +152,51 @@ class TestGPS:
         g_mse = ((g - yt.tau) ** 2).mean()
         t_mse = ((t - yt.tau) ** 2).mean()
         assert g_mse > t_mse
+
+
+#: Exact outputs on the YouTube analog at scale 0.05 (graph seed 7) with
+#: local counts on. Trièst and GPS have no second oracle to compare with,
+#: so these values pin their arithmetic.
+PINNED = {
+    "triest": (
+        lambda s: triest_processor(s, 150, 3, track_local=True),
+        242.82854586129753, 150,
+        {
+            0: 15.319463087248323, 2: 26.11373601789709, 3: 4.510335570469799,
+            6: 25.741476510067113, 7: 11.569217002237137, 8: 9.728322147651006,
+            10: 11.569217002237137, 11: 8.975391498881432, 13: 8.840268456375838,
+            15: 25.403221476510065, 16: 25.403221476510065, 25: 5.591140939597316,
+            27: 76.25279642058166, 34: 48.996420581655485, 36: 25.741476510067113,
+            40: 13.559284116331096, 47: 7.176733780760626, 50: 8.840268456375838,
+            56: 14.3082774049217, 64: 5.78255033557047, 75: 61.94451901565996,
+            78: 20.522595078299776, 88: 6.96331096196868, 94: 7.841163310961969,
+            101: 1.7986577181208054, 115: 54.51275167785235, 132: 8.840268456375838,
+            164: 14.106577181208054, 185: 14.106577181208054, 187: 2.058612975391499,
+            189: 54.51275167785235, 203: 11.569217002237137, 204: 5.217986577181208,
+            205: 1.0, 212: 25.403221476510065, 217: 1.0, 218: 1.0, 244: 7.176733780760626,
+            265: 1.7986577181208054, 289: 7.841163310961969, 290: 14.106577181208054,
+            297: 25.741476510067113,
+        },
+    ),
+    "gps": (
+        lambda s: gps_processor(s, 75, 3, track_local=True),
+        419.52080175086024, 75,
+        {
+            2: 15.896774433336676, 4: 66.8734929767141, 7: 132.6044039761785,
+            8: 99.07109137064748, 10: 40.21753240778298, 22: 92.38687156839553,
+            27: 24.815212073199366, 38: 5.422191657696071, 39: 106.55630691323186,
+            53: 5.422191657696071, 56: 24.815212073199366, 64: 33.53331260553104,
+            83: 173.90872663373548, 97: 66.8734929767141, 118: 5.422191657696071,
+            128: 67.35241972050362, 129: 173.90872663373548, 142: 66.8734929767141,
+            148: 15.896774433336676, 232: 24.815212073199366, 264: 15.896774433336676,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED))
+def test_pinned_output(method):
+    run, tau_hat, n_sampled, tau_v_hat = PINNED[method]
+    r = run(load_stream("YouTube", 0.05, 7, cache=False))
+    assert (r["tau_hat"], r["n_sampled"]) == (tau_hat, n_sampled)
+    assert r["tau_v_hat"] == tau_v_hat

@@ -1,7 +1,9 @@
 """Structured Streaming REPT equals the sequential processor exactly."""
+import json
 import os
 
 import pytest
+from pyspark.sql.streaming import DataStreamWriter
 
 from repro.core.structured import rept_structured_counts, write_stream_files
 from repro.graphs.datasets import load_stream, stream_pdf
@@ -17,13 +19,55 @@ def _expected(stream, m, c, seed):
     return [rept_processor(stream, m, i, seed)["tau"] for i in range(c)]
 
 
+def _partitions(spark):
+    return spark.conf.get("spark.sql.shuffle.partitions")
+
+
+def _checkpoint_partitions(checkpoint_dir):
+    """The shuffle partition count the query's first offset log entry pins."""
+    with open(os.path.join(checkpoint_dir, "offsets", "0")) as f:
+        return json.loads(f.read().splitlines()[1])["conf"]["spark.sql.shuffle.partitions"]
+
+
 def test_single_batch(spark, small, tmp_path):
     m, c, seed = 4, 3, 99
+    before = _partitions(spark)
     write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=1)
     res = rept_structured_counts(
         spark, str(tmp_path / "in"), m, c, seed, str(tmp_path / "ckpt")
     )
     assert res["tau"].tolist() == _expected(small, m, c, seed)
+    assert _checkpoint_partitions(str(tmp_path / "ckpt")) == str(c)
+    assert _partitions(spark) == before
+
+
+def test_one_state_partition_per_processor_c_eq_m(spark, small, tmp_path):
+    m = c = 3
+    seed = 11
+    before = _partitions(spark)
+    write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=2)
+    res = rept_structured_counts(
+        spark, str(tmp_path / "in"), m, c, seed, str(tmp_path / "ckpt")
+    )
+    assert res["tau"].tolist() == _expected(small, m, c, seed)
+    assert _checkpoint_partitions(str(tmp_path / "ckpt")) == str(c)
+    assert _partitions(spark) == before
+
+
+def test_caller_conf_restored_when_start_fails(spark, small, tmp_path, monkeypatch):
+    seen = []
+
+    def failing_start(self, *args, **kwargs):
+        seen.append(_partitions(spark))
+        raise RuntimeError("start failed")
+
+    monkeypatch.setattr(DataStreamWriter, "start", failing_start)
+    before = _partitions(spark)
+    write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=1)
+    with pytest.raises(RuntimeError):
+        rept_structured_counts(spark, str(tmp_path / "in"), 4, 3, 1, str(tmp_path / "ckpt"))
+    assert seen == ["3"]
+    assert _partitions(spark) == before
 
 
 def test_multi_batch_ordered(spark, small, tmp_path):
@@ -40,6 +84,14 @@ def test_rejects_c_gt_m(spark, small, tmp_path):
     with pytest.raises(ValueError):
         rept_structured_counts(
             spark, str(tmp_path / "in"), 2, 5, 1, str(tmp_path / "ckpt")
+        )
+
+
+@pytest.mark.parametrize("m,c", [(0, 1), (4, 0), (4, -1)], ids=["m<1", "c<1", "c<0"])
+def test_rejects_bad_m_c(spark, tmp_path, m, c):
+    with pytest.raises(ValueError):
+        rept_structured_counts(
+            spark, str(tmp_path / "in"), m, c, 1, str(tmp_path / "ckpt")
         )
 
 
