@@ -7,9 +7,11 @@ processor must observe every edge to close semi-triangles, but only
 inserts the edges hashing to its bucket). Per-processor state —
 sampled adjacency + τ^(i) — lives in Structured Streaming state via
 ``applyInPandasWithState``; each micro-batch emits the running τ^(i).
-The query runs with one shuffle (state) partition per processor, so its
-per-batch task count follows c rather than the session's default; the
-caller's session conf is left as it was.
+The query runs with c shuffle (state) partitions, so its per-batch task
+count follows c rather than the session's default; the caller's session
+conf is left as it was. Spark hash-places the processor ids into those
+partitions, so a partition may hold several processors and another none:
+for c = 4, processors 0–3 land in partitions [3, 3, 2, 3].
 
 End-of-stream counts are identical to the sequential simulator (and so
 to the closed-form evaluator) at the same (m, c, seed) — asserted in
@@ -119,13 +121,16 @@ def rept_structured_counts(
         )
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", caller_partitions)
-    query.awaitTermination()
-    result = (
-        spark.table(qname)
-        .groupBy("proc")
-        .agg(F.max("tau").alias("tau"))
-        .toPandas()
-        .sort_values("proc")
-        .reset_index(drop=True)
-    )
-    return result
+    # The memory sink's rows live in a temp view named after the query.
+    try:
+        query.awaitTermination()
+        return (
+            spark.table(qname)
+            .groupBy("proc")
+            .agg(F.max("tau").alias("tau"))
+            .toPandas()
+            .sort_values("proc")
+            .reset_index(drop=True)
+        )
+    finally:
+        spark.catalog.dropTempView(qname)

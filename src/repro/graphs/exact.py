@@ -1,22 +1,28 @@
-"""Exact (non-sampled) triangle analytics over an edge stream, in Spark SQL.
+"""Exact (non-sampled) triangle analytics over an edge stream.
 
 These are the ground truths every estimator is judged against, and the
 source of the edge-indexed triangle arrays (:class:`TriangleIndex`) that
 the closed-form REPT/MASCOT evaluator consumes:
 
-* :func:`triangle_df` enumerates each triangle once together with its
-  three edges **ordered by stream arrival** (t1 < t2 < t3) — the order
-  that defines the paper's "semi-triangle" (first two edges sampled).
-* :func:`open_edge_df` / :func:`last_edge_df` expose, per triangle, the
-  edges that are / are not its last stream edge — the inputs to the
-  exact η, η_v computations.
+* :func:`enumerate_triangles` lists each triangle once, in numpy on the
+  driver, with the stream positions of its three edges **in arrival
+  order** (t1 < t2 < t3) — the order that defines the paper's
+  "semi-triangle" (first two edges sampled). :func:`build_tables` builds
+  the index and the exact τ, η from it without starting a Spark job.
+* :func:`triangle_df` enumerates the same triangles as a Spark SQL
+  self-join; :func:`open_edge_df` / :func:`last_edge_df` expose, per
+  triangle, the edges that are / are not its last stream edge — the
+  inputs to the exact η, η_v computations. The harnesses read exact local
+  counts τ_v from :func:`local_counts_df` over this table.
 
-Everything is pure DataFrame API (Catalyst); correctness is checked in
-tests against both a brute-force python reference and the DuckDB oracle.
+The Spark functions are pure DataFrame API (Catalyst); both paths are
+checked in tests against a brute-force python reference, and the Spark
+path against the DuckDB oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
@@ -175,35 +181,87 @@ class TriangleIndex:
         )
 
 
+def enumerate_triangles(stream: Stream) -> tuple[np.ndarray, np.ndarray]:
+    """Every triangle of ``stream`` once, as τ × 3 int64 arrays ``(pos,
+    verts)``: the indices into the stream arrays of its three edges in
+    arrival order, and its vertex ids x < y < z.
+
+    Each triangle x < y < z is found once, as the wedge of edge (x, y)
+    and a forward edge (y, z) (forward: to a larger vertex id), closed by
+    a binary search for (x, z) among the sorted edges. Raises
+    ``ValueError`` unless every edge is canonical (u < v) and no edge
+    key repeats: either would make the count wrong.
+    """
+    if np.any(stream.u >= stream.v):
+        raise ValueError("stream edges must be canonical, u < v")
+    if len(np.unique(stream.k)) != stream.n_edges:
+        raise ValueError("stream edge keys must not repeat")
+    nodes, ends = np.unique(np.concatenate([stream.u, stream.v]), return_inverse=True)
+    n = len(nodes)
+    a, b = ends.reshape(2, -1)
+    # Forward adjacency in CSR form: the edges sorted by (a, b), so the
+    # forward neighbours of vertex x are nbr[start[x]:start[x + 1]].
+    key = a * n + b
+    order = np.argsort(key)
+    key = key[order]
+    nbr = b[order]
+    deg = np.bincount(a, minlength=n)
+    start = np.concatenate([[0], np.cumsum(deg)])
+    # One wedge per edge (x, y) and forward neighbour z of y.
+    fan = deg[b]
+    xy = np.repeat(np.arange(len(a)), fan)
+    yz = start[b[xy]] + np.arange(len(xy)) - np.repeat(np.cumsum(fan) - fan, fan)
+    x, y, z = a[xy], b[xy], nbr[yz]
+    want = x * n + z
+    xz = np.minimum(np.searchsorted(key, want), len(key) - 1)
+    hit = key[xz] == want
+    pos = np.sort(np.stack([xy[hit], order[yz[hit]], order[xz[hit]]], axis=1), axis=1)
+    return pos, nodes[np.stack([x[hit], y[hit], z[hit]], axis=1)]
+
+
 @dataclass
 class TriangleTables:
-    """Triangle views of one stream, shared by every experiment: the
-    persisted triangle table, its lazy per-edge views, the edge-indexed
-    triangle arrays and the exact global statistics."""
+    """Triangles of one stream, shared by every experiment: the
+    edge-indexed triangle arrays and the exact global statistics, and
+    Spark views of the same triangles, each created on first access."""
 
+    spark: SparkSession
     stream: Stream
-    edges: DataFrame
-    triangles: DataFrame
-    open_edges: DataFrame
-    last_edges: DataFrame
     tau: int
     eta: int
     index: TriangleIndex
 
+    @cached_property
+    def edges(self) -> DataFrame:
+        return edge_stream_df(self.spark, self.stream)
+
+    @cached_property
+    def triangles(self) -> DataFrame:
+        """The :func:`triangle_df` table, persisted."""
+        return triangle_df(self.edges).persist()
+
+    @cached_property
+    def open_edges(self) -> DataFrame:
+        return open_edge_df(self.triangles)
+
+    @cached_property
+    def last_edges(self) -> DataFrame:
+        return last_edge_df(self.triangles)
+
     def unpersist(self) -> None:
-        self.triangles.unpersist()
+        if "triangles" in self.__dict__:
+            self.triangles.unpersist()
 
 
 def build_tables(spark: SparkSession, stream: Stream) -> TriangleTables:
-    """Enumerate the triangles of ``stream`` once: persist the triangle
-    table and collect its edge positions and vertices to the driver."""
+    """Enumerate the triangles of ``stream`` once, on the driver, and
+    compute τ and η = Σ_g C(n_g, 2) from them (n_g: the triangles in
+    which edge g is not the last edge). Starts no Spark job."""
     if not np.array_equal(stream.t, np.arange(stream.n_edges)):
         raise ValueError("stream positions t must be 0..|E|-1 in arrival order")
-    edges = edge_stream_df(spark, stream)
-    tri = triangle_df(edges).persist()
-    cols = tri.select("t1", "t2", "t3", "x", "y", "z").toPandas().to_numpy(np.int64)
-    index = TriangleIndex.of(stream, cols[:, :3], cols[:, 3:])
-    eta = eta_global(tri)
-    return TriangleTables(
-        stream, edges, tri, open_edge_df(tri), last_edge_df(tri), len(cols), eta, index
+    pos, verts = enumerate_triangles(stream)
+    n_g = np.bincount(pos[:, 0], minlength=stream.n_edges) + np.bincount(
+        pos[:, 1], minlength=stream.n_edges
     )
+    eta = int((n_g * (n_g - 1) // 2).sum())
+    return TriangleTables(spark, stream, len(pos), eta, TriangleIndex.of(stream, pos, verts))

@@ -2,6 +2,8 @@
 private results directory so tests never rewrite ``results/``."""
 from __future__ import annotations
 
+import uuid
+
 import pytest
 
 import repro.experiments.common as common
@@ -26,3 +28,26 @@ def tables_for(spark):
         return get_tables(spark, name, scale=scale, seed=7)
 
     return _get
+
+
+@pytest.fixture
+def job_group(spark):
+    """Tag the Spark jobs a test starts with a fresh group; yields a
+    function returning (jobs, total tasks) run under it so far."""
+    sc = spark.sparkContext
+    group = f"test-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "tests")
+    tracker = sc.statusTracker()
+
+    def counts() -> tuple[int, int]:
+        jobs = tracker.getJobIdsForGroup(group)
+        tasks = sum(
+            tracker.getStageInfo(stage).numTasks
+            for job in jobs
+            for stage in tracker.getJobInfo(job).stageIds
+        )
+        return len(jobs), tasks
+
+    yield counts
+    sc.setLocalProperty("spark.jobGroup.id", None)
+    sc.setLocalProperty("spark.job.description", None)

@@ -1,6 +1,7 @@
 """Input validation at the entry points of the closed-form evaluator."""
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.closed_form import (
@@ -11,6 +12,13 @@ from repro.core.closed_form import (
 )
 from repro.graphs.exact import build_tables
 from tests.helpers import tiny_stream
+
+
+def _with_repeated_edge(s):
+    """``s`` with its first edge arriving again at the end."""
+    again = {f: np.append(getattr(s, f), getattr(s, f)[0]) for f in "uvk"}
+    return dataclasses.replace(s, t=np.arange(s.n_edges + 1), **again)
+
 
 # Each call is rejected before it touches the session or the tables.
 BAD_CALLS = {
@@ -23,6 +31,10 @@ BAD_CALLS = {
     "t_not_positions": lambda: build_tables(
         None, dataclasses.replace(tiny_stream(), t=tiny_stream().t[::-1].copy())
     ),
+    "u>=v": lambda: build_tables(
+        None, dataclasses.replace(tiny_stream(), u=tiny_stream().v, v=tiny_stream().u)
+    ),
+    "repeated_key": lambda: build_tables(None, _with_repeated_edge(tiny_stream())),
 }
 
 

@@ -1,6 +1,4 @@
 """Tests for the Spark-parallel streaming trial driver."""
-import uuid
-
 import numpy as np
 import pytest
 
@@ -19,29 +17,6 @@ from repro.stream.triest import triest_processor
 @pytest.fixture(scope="module")
 def yt(tables_for):
     return tables_for("YouTube", 0.1).stream
-
-
-@pytest.fixture
-def job_group(spark):
-    """Tag the Spark jobs a test starts with a fresh group; yields a
-    function returning (jobs, total tasks) run under it so far."""
-    sc = spark.sparkContext
-    group = f"test-engine-{uuid.uuid4().hex}"
-    sc.setJobGroup(group, "test_engine")
-    tracker = sc.statusTracker()
-
-    def counts() -> tuple[int, int]:
-        jobs = tracker.getJobIdsForGroup(group)
-        tasks = sum(
-            tracker.getStageInfo(stage).numTasks
-            for job in jobs
-            for stage in tracker.getJobInfo(job).stageIds
-        )
-        return len(jobs), tasks
-
-    yield counts
-    sc.setLocalProperty("spark.jobGroup.id", None)
-    sc.setLocalProperty("spark.job.description", None)
 
 
 def test_all_trials_returned(spark, yt):

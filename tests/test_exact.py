@@ -1,10 +1,13 @@
 """Exact analytics (τ, τ_v, η, η_v) vs brute force and the DuckDB oracle."""
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.graphs.datasets import edge_stream_df
 from repro.graphs.exact import (
+    build_tables,
+    enumerate_triangles,
     eta_global,
     eta_local_df,
     last_edge_df,
@@ -147,6 +150,37 @@ class TestVsDuckDBOracle:
             """,
             e=edges,
         )
+
+
+@pytest.mark.parametrize("seed", TINY_SEEDS)
+def test_enumerator_vs_brute_force(seed):
+    s = tiny_stream(n_nodes=40, n_edges=180, seed=seed)
+    bf = brute_force(s)
+    pos, verts = enumerate_triangles(s)
+    at = {e: i for i, e in enumerate(zip(s.u.tolist(), s.v.tolist()))}
+    want = {(nodes, tuple(at[e] for e in edges)) for nodes, edges in bf["triangles"]}
+    got = {(tuple(v), tuple(p)) for v, p in zip(verts.tolist(), pos.tolist())}
+    assert len(pos) == len(got) == bf["tau"]
+    assert got == want
+    t = build_tables(None, s)
+    assert (t.tau, t.eta) == (bf["tau"], bf["eta"])
+
+
+@pytest.mark.parametrize("name", SMALL_DATASETS)
+def test_enumerator_vs_spark(tables_for, name):
+    t = tables_for(name)
+    pos, verts = enumerate_triangles(t.stream)
+    got = {tuple(r) for r in np.hstack([pos, verts]).tolist()}
+    want = {tuple(r) for r in t.triangles.select("t1", "t2", "t3", "x", "y", "z").collect()}
+    assert len(got) == len(pos)
+    assert got == want
+    assert (t.tau, t.eta) == (len(want), eta_global(t.triangles))
+
+
+def test_build_tables_starts_no_job(spark, tables_for, job_group):
+    t = build_tables(spark, tables_for("YouTube").stream)
+    assert t.tau > 0
+    assert job_group() == (0, 0)
 
 
 @pytest.mark.parametrize("name", SMALL_DATASETS)

@@ -100,3 +100,10 @@ def test_write_stream_files_ordered(small, tmp_path):
     assert len(paths) == 4
     mtimes = [os.path.getmtime(p) for p in paths]
     assert mtimes == sorted(mtimes)
+
+
+def test_no_memory_table_left(spark, small, tmp_path):
+    write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=1)
+    rept_structured_counts(spark, str(tmp_path / "in"), 3, 2, 1, str(tmp_path / "ckpt"))
+    left = [t.name for t in spark.catalog.listTables() if t.name.startswith("rept_structured_")]
+    assert left == []
