@@ -1,34 +1,34 @@
 """REPT as a Spark Structured Streaming job.
 
-The paper's future-work direction (and this reproduction's
-distributed_dataflow brief): the edge stream arrives as files in a
-directory; every edge is routed to all c processor groups (each
-processor must observe every edge to close semi-triangles, but only
-inserts the edges hashing to its bucket). Per-processor state —
-sampled adjacency + τ^(i) — lives in Structured Streaming state via
-``applyInPandasWithState``; each micro-batch emits the running τ^(i).
-The query runs with c shuffle (state) partitions, so its per-batch task
-count follows c rather than the session's default; the caller's session
-conf is left as it was. Spark hash-places the processor ids into those
-partitions, so a partition may hold several processors and another none:
-for c = 4, processors 0–3 land in partitions [3, 3, 2, 3].
+The edge stream arrives as files in a directory (the paper's future-work
+direction), and a file-source query hands each micro-batch to a
+``foreachBatch`` sink. The sink collects the batch once (Arrow
+``toPandas``), sorts it by ``t`` and runs the c processors' loops over it
+one after another, on the driver: every processor observes every edge
+but inserts only the edges hashing to its bucket.
 
-End-of-stream counts are identical to the sequential simulator (and so
-to the closed-form evaluator) at the same (m, c, seed) — asserted in
-``tests/test_structured.py``. Micro-batches must arrive in stream order
-(enforced here by sorting each batch by ``t`` and feeding files
-chronologically); within that contract the semantics are exact.
+The processors' state (adjacency sets, τ^(i), the last ``t`` and the
+``(m, c, seed)`` it was built under) is written atomically after every
+batch to ``<checkpoint_dir>/rept/<batch_id>.pkl``, keeping the last two.
+A batch starts from batch_id − 1's state, held in memory or else read
+back, so a restarted query resumes, a replayed batch counts once, and
+resuming under other settings is refused before any edge is counted.
+
+End-of-stream counts equal the sequential simulator at the same
+(m, c, seed) (``tests/test_structured.py``). Batches must arrive in
+stream order: one whose first ``t`` is not after the last ``t`` of the
+batches before it fails the query.
 """
 from __future__ import annotations
 
 import os
 import pickle
-import uuid
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
+
+from repro.core.hashing import bucket
 
 EDGE_SCHEMA = "t LONG, a LONG, b LONG, k LONG"
 
@@ -36,8 +36,11 @@ EDGE_SCHEMA = "t LONG, a LONG, b LONG, k LONG"
 def write_stream_files(pdf: pd.DataFrame, out_dir: str, n_files: int = 3) -> list[str]:
     """Split an edge-stream pandas frame ``(t, a, b, k)`` into
     ``n_files`` parquet files in arrival order, with increasing mtimes
-    so the file source ingests them chronologically."""
+    so the file source ingests them chronologically. ``out_dir`` must be
+    empty or absent: the file source reads every file in it."""
     os.makedirs(out_dir, exist_ok=True)
+    if os.listdir(out_dir):
+        raise ValueError(f"{out_dir} already holds files")
     ordered = pdf.sort_values("t").reset_index(drop=True)
     bounds = np.linspace(0, len(ordered), n_files + 1).astype(int)
     parts = [ordered.iloc[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -48,6 +51,30 @@ def write_stream_files(pdf: pd.DataFrame, out_dir: str, n_files: int = 3) -> lis
         os.utime(path, (1_700_000_000 + i, 1_700_000_000 + i))
         paths.append(path)
     return paths
+
+
+def _feed(state: dict, pdf: pd.DataFrame, batch_id: int, m: int, seed: int) -> None:
+    """Run every processor over one micro-batch, in stream order."""
+    pdf = pdf.sort_values("t")
+    t_first = int(pdf["t"].iloc[0])
+    if t_first <= state["t_max"]:
+        raise ValueError(f"micro-batch {batch_id} starts at t={t_first}, not after "
+                         f"t={state['t_max']}: files must arrive in stream order")
+    buckets = bucket(pdf["k"].to_numpy().view(np.uint64), seed, m)
+    a_col, b_col = pdf["a"].tolist(), pdf["b"].tolist()
+    for proc, adj in enumerate(state["adj"]):
+        tau = state["tau"][proc]
+        for a, b, mine in zip(a_col, b_col, (buckets == proc).tolist()):
+            na = adj.get(a)
+            nb = adj.get(b)
+            if na and nb:
+                common = na & nb if len(na) <= len(nb) else nb & na
+                tau += len(common)
+            if mine:
+                adj.setdefault(a, set()).add(b)
+                adj.setdefault(b, set()).add(a)
+        state["tau"][proc] = tau
+    state["t_max"] = int(pdf["t"].iloc[-1])
 
 
 def rept_structured_counts(
@@ -66,71 +93,43 @@ def rept_structured_counts(
         raise ValueError(f"need m >= 1 and c >= 1, got m={m}, c={c}")
     if c > m:
         raise ValueError("structured job implements the c <= m case")
+    state_dir = os.path.join(checkpoint_dir, "rept")
+    os.makedirs(state_dir, exist_ok=True)
+
+    def path(batch_id: int) -> str:
+        return os.path.join(state_dir, f"{batch_id}.pkl")
+
+    def load(batch_id: int) -> dict:
+        if batch_id < 0:
+            return {"settings": (m, c, seed), "t_max": -1, "tau": [0] * c,
+                    "adj": [{} for _ in range(c)]}
+        with open(path(batch_id), "rb") as f:
+            return pickle.load(f)
+
+    held_id = max((int(n[:-4]) for n in os.listdir(state_dir) if n.endswith(".pkl")), default=-1)
+    held = load(held_id)  # the state after batch ``held_id``
+    if held["settings"] != (m, c, seed):
+        raise ValueError(f"{checkpoint_dir} holds REPT state for (m, c, seed) = "
+                         f"{held['settings']}, not {(m, c, seed)}")
+
+    def _batch(df, batch_id: int) -> None:
+        nonlocal held_id, held
+        # Not the held state when Spark replays a batch it did not commit.
+        state = held if held_id == batch_id - 1 else load(batch_id - 1)
+        pdf = df.toPandas()
+        if len(pdf):  # an empty batch carries the state over
+            _feed(state, pdf, batch_id, m, seed)
+        with open(f"{path(batch_id)}.tmp", "wb") as f:
+            pickle.dump(state, f, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(f"{path(batch_id)}.tmp", path(batch_id))
+        if os.path.exists(path(batch_id - 2)):  # Spark replays at most one batch
+            os.remove(path(batch_id - 2))
+        held_id, held = batch_id, state
+
     reader = spark.readStream.schema(EDGE_SCHEMA)
     if max_files_per_trigger:
         reader = reader.option("maxFilesPerTrigger", max_files_per_trigger)
-    edges = reader.parquet(input_dir)
-    routed = edges.withColumn(
-        "proc", F.explode(F.array(*[F.lit(i) for i in range(c)]))
-    )
-
-    def _update(key, pdfs, state):
-        from repro.core.hashing import bucket  # executor-side import
-
-        proc = int(key[0])
-        if state.exists:
-            blob, tau = state.get
-            adj = pickle.loads(bytes(blob))
-        else:
-            adj, tau = {}, 0
-        pdf = pd.concat(list(pdfs)).sort_values("t")
-        buckets = bucket(pdf["k"].to_numpy().view(np.uint64), seed, m)
-        t_max = int(pdf["t"].max())
-        for a, b, mine in zip(pdf["a"].tolist(), pdf["b"].tolist(), (buckets == proc).tolist()):
-            na = adj.get(a)
-            nb = adj.get(b)
-            if na and nb:
-                common = na & nb if len(na) <= len(nb) else nb & na
-                tau += len(common)
-            if mine:
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
-        state.update((pickle.dumps(adj), int(tau)))
-        yield pd.DataFrame({"proc": [proc], "tau": [int(tau)], "t_max": [t_max]})
-
-    out = routed.groupBy("proc").applyInPandasWithState(
-        _update,
-        outputStructType="proc long, tau long, t_max long",
-        stateStructType="blob binary, tau long",
-        outputMode="update",
-        timeoutConf="NoTimeout",
-    )
-    qname = f"rept_structured_{uuid.uuid4().hex[:8]}"
-    # The query clones the session conf at start() and its offset log
-    # pins the partition count, so the caller's value can come back at once.
-    caller_partitions = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", str(c))
-    try:
-        query = (
-            out.writeStream.format("memory")
-            .queryName(qname)
-            .outputMode("update")
-            .option("checkpointLocation", checkpoint_dir)
-            .trigger(availableNow=True)
-            .start()
-        )
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", caller_partitions)
-    # The memory sink's rows live in a temp view named after the query.
-    try:
-        query.awaitTermination()
-        return (
-            spark.table(qname)
-            .groupBy("proc")
-            .agg(F.max("tau").alias("tau"))
-            .toPandas()
-            .sort_values("proc")
-            .reset_index(drop=True)
-        )
-    finally:
-        spark.catalog.dropTempView(qname)
+    writer = reader.parquet(input_dir).writeStream.foreachBatch(_batch).trigger(availableNow=True)
+    writer.option("checkpointLocation", checkpoint_dir).start().awaitTermination()
+    tau = np.array(held["tau"], dtype=np.int64)
+    return pd.DataFrame({"proc": np.arange(c, dtype=np.int64), "tau": tau})

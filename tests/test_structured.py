@@ -1,8 +1,9 @@
 """Structured Streaming REPT equals the sequential processor exactly."""
-import json
 import os
+import shutil
 
 import pytest
+from pyspark.errors import StreamingQueryException
 from pyspark.sql.streaming import DataStreamWriter
 
 from repro.core.structured import rept_structured_counts, write_stream_files
@@ -23,12 +24,6 @@ def _partitions(spark):
     return spark.conf.get("spark.sql.shuffle.partitions")
 
 
-def _checkpoint_partitions(checkpoint_dir):
-    """The shuffle partition count the query's first offset log entry pins."""
-    with open(os.path.join(checkpoint_dir, "offsets", "0")) as f:
-        return json.loads(f.read().splitlines()[1])["conf"]["spark.sql.shuffle.partitions"]
-
-
 def test_single_batch(spark, small, tmp_path):
     m, c, seed = 4, 3, 99
     before = _partitions(spark)
@@ -37,7 +32,6 @@ def test_single_batch(spark, small, tmp_path):
         spark, str(tmp_path / "in"), m, c, seed, str(tmp_path / "ckpt")
     )
     assert res["tau"].tolist() == _expected(small, m, c, seed)
-    assert _checkpoint_partitions(str(tmp_path / "ckpt")) == str(c)
     assert _partitions(spark) == before
 
 
@@ -50,7 +44,6 @@ def test_one_state_partition_per_processor_c_eq_m(spark, small, tmp_path):
         spark, str(tmp_path / "in"), m, c, seed, str(tmp_path / "ckpt")
     )
     assert res["tau"].tolist() == _expected(small, m, c, seed)
-    assert _checkpoint_partitions(str(tmp_path / "ckpt")) == str(c)
     assert _partitions(spark) == before
 
 
@@ -66,7 +59,7 @@ def test_caller_conf_restored_when_start_fails(spark, small, tmp_path, monkeypat
     write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=1)
     with pytest.raises(RuntimeError):
         rept_structured_counts(spark, str(tmp_path / "in"), 4, 3, 1, str(tmp_path / "ckpt"))
-    assert seen == ["3"]
+    assert seen == [before]
     assert _partitions(spark) == before
 
 
@@ -107,3 +100,61 @@ def test_no_memory_table_left(spark, small, tmp_path):
     rept_structured_counts(spark, str(tmp_path / "in"), 3, 2, 1, str(tmp_path / "ckpt"))
     left = [t.name for t in spark.catalog.listTables() if t.name.startswith("rept_structured_")]
     assert left == []
+
+
+def _run(spark, tmp_path, m, c, seed):
+    return rept_structured_counts(
+        spark, str(tmp_path / "in"), m, c, seed, str(tmp_path / "ckpt"),
+        max_files_per_trigger=1,
+    )["tau"].tolist()
+
+
+def _stage(small, tmp_path):
+    """Write 3 parts to a staging directory and move the first 2 into the
+    query's input; return the third."""
+    first, second, third = write_stream_files(stream_pdf(small), str(tmp_path / "stage"))
+    os.makedirs(tmp_path / "in")
+    for p in (first, second):
+        shutil.move(p, tmp_path / "in")
+    return third
+
+
+def test_restart_and_replay(spark, small, tmp_path):
+    m, c, seed = 3, 2, 5
+    expected = _expected(small, m, c, seed)
+    third = _stage(small, tmp_path)
+    _run(spark, tmp_path, m, c, seed)
+    shutil.move(third, tmp_path / "in")
+    assert _run(spark, tmp_path, m, c, seed) == expected
+    commits = tmp_path / "ckpt" / "commits"
+    os.remove(commits / "2")
+    os.remove(commits / ".2.crc")
+    assert _run(spark, tmp_path, m, c, seed) == expected
+    assert (commits / "2").exists()  # Spark ran batch 2 again
+
+
+@pytest.mark.parametrize("delta", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], ids=["m", "c", "seed"])
+def test_resume_under_other_settings_rejected(spark, small, tmp_path, delta):
+    m, c, seed = 3, 2, 5
+    third = _stage(small, tmp_path)
+    _run(spark, tmp_path, m, c, seed)
+    shutil.move(third, tmp_path / "in")
+    with pytest.raises(ValueError, match="holds REPT state"):
+        _run(spark, tmp_path, m + delta[0], c + delta[1], seed + delta[2])
+    # The refused run counted nothing: resuming as before gives the full counts.
+    assert _run(spark, tmp_path, m, c, seed) == _expected(small, m, c, seed)
+
+
+def test_out_of_order_batch_rejected(spark, small, tmp_path):
+    paths = write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=3)
+    for i, p in enumerate(paths):
+        os.utime(p, (1_700_000_010 - i, 1_700_000_010 - i))
+    with pytest.raises(StreamingQueryException, match="micro-batch 1 starts at"):
+        _run(spark, tmp_path, 3, 2, 5)
+
+
+def test_write_stream_files_rejects_nonempty_dir(small, tmp_path):
+    old = write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=4)
+    with pytest.raises(ValueError, match="already holds files"):
+        write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=2)
+    assert sorted(os.listdir(tmp_path / "in")) == [os.path.basename(p) for p in old]
