@@ -58,8 +58,8 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch); the post-launch conf is the spark-submit jobs' own,
-    from :func:`repro.session.get_session`.
+    pre-JVM-launch); the post-launch conf is :mod:`repro.reproduce`'s
+    own, from :func:`repro.session.get_session`.
     """
     s = get_session("repro")
     # One line in test_output.txt that tells the driver whether the

@@ -2,6 +2,6 @@
 
 Each ``run_*`` function takes the session SparkSession, returns a
 pandas DataFrame with the table's rows, and writes a CSV under
-``results/`` so EXPERIMENTS.md can quote exact numbers. ``jobs/`` and
-``benchmarks/`` are thin wrappers over these.
+``results/`` so EXPERIMENTS.md can quote exact numbers.
+:mod:`repro.reproduce` pins the call behind each committed CSV.
 """

@@ -9,7 +9,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.hashing import mix_seeds
-from repro.graphs.datasets import DATASETS, Stream, load_stream
+from repro.graphs.datasets import DATASETS, load_stream
 from repro.graphs.exact import TriangleTables, build_tables
 
 _TABLES_CACHE: dict[tuple, TriangleTables] = {}
@@ -42,10 +42,6 @@ def get_tables(
     if key not in _TABLES_CACHE:
         _TABLES_CACHE[key] = build_tables(spark, load_stream(name, scale, seed))
     return _TABLES_CACHE[key]
-
-
-def get_stream(name: str, scale: float = 1.0, seed: int = 7) -> Stream:
-    return load_stream(name, scale, seed)
 
 
 def dataset_seed(base: int, name: str, *extra: int) -> int:

@@ -12,7 +12,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.hashing import mix_seeds
-from repro.experiments.common import dataset_seed, get_stream, profile_datasets, save_result
+from repro.experiments.common import dataset_seed, profile_datasets, save_result
+from repro.graphs.datasets import load_stream
 from repro.stream.engine import global_estimates, run_stream_trials
 
 DEFAULT_P_INVS = (100, 50, 20, 10)
@@ -29,7 +30,7 @@ def run_runtime(
     """One row per (dataset, method, p): max and total per-processor time."""
     rows = []
     for name in profile_datasets(datasets):
-        stream = get_stream(name, scale, seed)
+        stream = load_stream(name, scale, seed)
         for p_inv in p_invs:
             p = 1.0 / p_inv
             base = dataset_seed(seed, name, p_inv, 7777)

@@ -3,7 +3,7 @@
 Each entry maps a paper dataset name to a generator config, scaled down
 ~10³–10⁴× (see DESIGN.md §6 for the substitution rationale). ``scale``
 multiplies node/edge counts so tests can run tiny instances of the same
-shapes the benchmarks use.
+shapes the reproduced results use.
 
 ``load_stream`` returns the numpy arrays every engine consumes (cached
 as ``.npz`` under ``.data/``); ``edge_stream_df`` wraps them as a Spark

@@ -1,4 +1,4 @@
-"""The SparkSession builder shared by the spark-submit jobs and the tests.
+"""The SparkSession builder shared by :mod:`repro.reproduce` and the tests.
 
 Master and driver memory are launch-time settings (spark-submit
 arguments or ``PYSPARK_SUBMIT_ARGS``); this sets the SQL conf that is
