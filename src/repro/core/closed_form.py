@@ -159,21 +159,3 @@ def mascot_local_trial_counts(
             pd.DataFrame({"trial": trial, "v": tables.index.nodes[hit], "cnt": cnt[hit]})
         )
     return pd.concat(frames, ignore_index=True)
-
-
-def chunk_parallel_local(
-    trial_counts: pd.DataFrame, c: int, p: float, n_trials: int
-) -> tuple[pd.DataFrame, int]:
-    """Parallel-c MASCOT local estimates from a trial pool.
-
-    Returns sparse pandas ``(run, v, est)`` (absent pairs are 0) and the
-    number of parallel runs formed.
-    """
-    n_runs = n_trials // c
-    if n_runs == 0:
-        raise ValueError(f"need at least c={c} trials, got {n_trials}")
-    tc = trial_counts[trial_counts["trial"] < n_runs * c].copy()
-    tc["run"] = tc["trial"] // c
-    out = tc.groupby(["run", "v"], as_index=False)["cnt"].sum()
-    out["est"] = out["cnt"] / (p * p * c)
-    return out[["run", "v", "est"]], n_runs

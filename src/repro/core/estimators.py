@@ -72,6 +72,8 @@ def nrmse(estimates, truth: float) -> float:
     est = np.asarray(estimates, dtype=np.float64)
     if truth == 0:
         raise ValueError("NRMSE undefined for zero truth")
+    if est.size == 0:
+        raise ValueError("NRMSE undefined without estimates")
     return float(np.sqrt(np.mean((est - truth) ** 2)) / truth)
 
 
@@ -84,7 +86,12 @@ def local_nrmse(
     (run, node) pairs where the estimator produced a nonzero value; the
     remaining ``n_runs − count`` runs of each node are estimates of 0.
     ``exact_local``: pandas ``(v, tau_v)`` for all nodes with τ_v > 0.
+    Raises ``ValueError`` if it has no node or ``n_runs`` < 1.
     """
+    if exact_local.empty:
+        raise ValueError("local NRMSE undefined without a node with tau_v > 0")
+    if n_runs < 1:
+        raise ValueError(f"local NRMSE needs n_runs >= 1, got {n_runs}")
     truth = exact_local.set_index("v")["tau_v"].astype("float64")
     if sparse_estimates.empty:
         per_node_mse = truth**2

@@ -10,15 +10,11 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.closed_form import (
-    chunk_parallel_local,
-    mascot_local_trial_counts,
-    rept_local_runs,
-)
+from repro.core.closed_form import mascot_local_trial_counts, rept_local_runs
 from repro.core.estimators import local_nrmse
 from repro.core.hashing import mix_seeds
 from repro.experiments.common import dataset_seed, get_tables, profile_datasets, save_result
-from repro.graphs.exact import local_counts_df
+from repro.graphs.exact import local_counts
 from repro.stream.engine import pooled_parallel_local, run_stream_trials
 
 DEFAULT_METHODS = ("rept", "mascot", "triest")
@@ -42,7 +38,7 @@ def run_local_nrmse(
     rows = []
     for name in profile_datasets(datasets):
         t = get_tables(spark, name, scale, seed)
-        exact = local_counts_df(t.triangles).toPandas()
+        exact = local_counts(t.index)
         base = dataset_seed(seed, name, p_inv, 99)
         budget = max(2, round(p * t.stream.n_edges))
 
@@ -50,7 +46,9 @@ def run_local_nrmse(
         if "mascot" in methods:
             # MASCOT trials are cheap (closed form) — use a 2× pool.
             seeds = [mix_seeds(base, 1, i) for i in range(2 * r_pool * c_max)]
-            mascot_pool = (mascot_local_trial_counts(spark, t, p, seeds), len(seeds))
+            trials = mascot_local_trial_counts(spark, t, p, seeds)
+            trials["est"] = trials["cnt"] / (p * p)
+            mascot_pool = (trials, len(seeds))
         triest_pool = None
         if "triest" in methods:
             specs = [
@@ -71,8 +69,7 @@ def run_local_nrmse(
                      "nrmse": local_nrmse(sparse, exact, r_rept), "n_estimates": r_rept}
                 )
             if mascot_pool is not None:
-                sparse, n_runs = chunk_parallel_local(mascot_pool[0], c, p, mascot_pool[1])
-                sparse = sparse.rename(columns={"trial": "run"})
+                sparse, n_runs = pooled_parallel_local(mascot_pool[0], c, mascot_pool[1])
                 rows.append(
                     {"graph": name, "method": "mascot", "p": p, "c": c,
                      "nrmse": local_nrmse(sparse, exact, n_runs), "n_estimates": n_runs}

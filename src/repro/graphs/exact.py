@@ -8,16 +8,15 @@ the closed-form REPT/MASCOT evaluator consumes:
   driver, with the stream positions of its three edges **in arrival
   order** (t1 < t2 < t3) — the order that defines the paper's
   "semi-triangle" (first two edges sampled). :func:`build_tables` builds
-  the index and the exact τ, η from it without starting a Spark job.
+  the index and the exact τ, η from it, and :func:`local_counts` the
+  exact τ_v, without starting a Spark job.
 * :func:`triangle_df` enumerates the same triangles as a Spark SQL
   self-join; :func:`open_edge_df` / :func:`last_edge_df` expose, per
-  triangle, the edges that are / are not its last stream edge — the
-  inputs to the exact η, η_v computations. The harnesses read exact local
-  counts τ_v from :func:`local_counts_df` over this table.
+  triangle, the edges that are / are not its last stream edge. No
+  harness reads them: they are kept only as the views that
+  ``perfbench``'s traced ``sweep`` sizes its counters with.
 
-The Spark functions are pure DataFrame API (Catalyst); both paths are
-checked in tests against a brute-force python reference, and the Spark
-path against the DuckDB oracle.
+Both paths are checked in tests against a brute-force python reference.
 """
 from __future__ import annotations
 
@@ -25,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -108,49 +108,6 @@ def last_edge_df(triangles: DataFrame) -> DataFrame:
     )
 
 
-def local_counts_df(triangles: DataFrame) -> DataFrame:
-    """Exact local triangle counts ``(v, tau_v)`` for nodes with τ_v > 0."""
-    return (
-        triangles.select(
-            F.explode(F.array(F.col("x"), F.col("y"), F.col("z"))).alias("v")
-        )
-        .groupBy("v")
-        .agg(F.count(F.lit(1)).alias("tau_v"))
-    )
-
-
-def eta_global(triangles: DataFrame) -> int:
-    """Exact η = Σ_g C(n_g, 2) over non-last multiplicities n_g."""
-    n = (
-        open_edge_df(triangles)
-        .groupBy("gk")
-        .agg(F.count(F.lit(1)).alias("n"))
-        .agg(F.sum(F.expr("n * (n - 1) / 2")).alias("eta"))
-        .collect()[0]["eta"]
-    )
-    return int(n or 0)
-
-
-def eta_local_df(triangles: DataFrame) -> DataFrame:
-    """Exact per-node η_v as ``(v, eta_v)``: for each edge g = (p, q),
-    C(n_g, 2) pairs accrue to both endpoints (a pair of distinct
-    triangles sharing g can only both contain v if v ∈ g)."""
-    per_edge = (
-        open_edge_df(triangles)
-        .groupBy("gk", "gp", "gq")
-        .agg(F.count(F.lit(1)).alias("n"))
-        .withColumn("pairs", F.expr("CAST(n * (n - 1) / 2 AS LONG)"))
-    )
-    return (
-        per_edge.select(
-            F.explode(F.array(F.col("gp"), F.col("gq"))).alias("v"), F.col("pairs")
-        )
-        .groupBy("v")
-        .agg(F.sum("pairs").alias("eta_v"))
-        .filter(F.col("eta_v") > 0)
-    )
-
-
 @dataclass(frozen=True)
 class TriangleIndex:
     """One stream's triangles as int arrays: the input of the closed-form
@@ -222,8 +179,12 @@ def enumerate_triangles(stream: Stream) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class TriangleTables:
     """Triangles of one stream, shared by every experiment: the
-    edge-indexed triangle arrays and the exact global statistics, and
-    Spark views of the same triangles, each created on first access."""
+    edge-indexed triangle arrays and the exact global statistics.
+
+    The Spark views of the same triangles (``edges``, ``triangles``,
+    ``open_edges``, ``last_edges``), each created on first access, and
+    the ``spark`` field they need are kept only for ``perfbench``'s
+    traced ``sweep``; no harness reads them."""
 
     spark: SparkSession
     stream: Stream
@@ -248,10 +209,6 @@ class TriangleTables:
     def last_edges(self) -> DataFrame:
         return last_edge_df(self.triangles)
 
-    def unpersist(self) -> None:
-        if "triangles" in self.__dict__:
-            self.triangles.unpersist()
-
 
 def build_tables(spark: SparkSession, stream: Stream) -> TriangleTables:
     """Enumerate the triangles of ``stream`` once, on the driver, and
@@ -265,3 +222,11 @@ def build_tables(spark: SparkSession, stream: Stream) -> TriangleTables:
     )
     eta = int((n_g * (n_g - 1) // 2).sum())
     return TriangleTables(spark, stream, len(pos), eta, TriangleIndex.of(stream, pos, verts))
+
+
+def local_counts(index: TriangleIndex) -> pd.DataFrame:
+    """Exact local triangle counts as pandas ``(v, tau_v)``, one row per
+    node with τ_v > 0, in node order. Starts no Spark job."""
+    tau_v = np.bincount(index.verts.ravel(), minlength=len(index.nodes))
+    hit = np.flatnonzero(tau_v)
+    return pd.DataFrame({"v": index.nodes[hit], "tau_v": tau_v[hit]})

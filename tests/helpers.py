@@ -33,12 +33,11 @@ def tiny_stream(n_nodes: int = 40, n_edges: int = 160, seed: int = 0) -> Stream:
 
 
 def brute_force(stream: Stream) -> dict:
-    """Exhaustive τ, τ_v, η, η_v and per-edge structures of a stream.
+    """Exhaustive τ, τ_v, η and per-edge structures of a stream.
 
     Definitions follow the paper exactly: η counts unordered pairs of
     distinct triangles sharing an edge g with g not the last stream
-    edge of either; η_v restricts both triangles to Δ_v (equivalently
-    v ∈ g, see DESIGN.md).
+    edge of either.
     """
     tpos: dict[tuple[int, int], int] = {}
     adj: dict[int, set[int]] = defaultdict(set)
@@ -66,17 +65,10 @@ def brute_force(stream: Stream) -> dict:
         nlast[edges[0]] += 1
         nlast[edges[1]] += 1
     eta = sum(n * (n - 1) // 2 for n in nlast.values())
-    eta_v: dict[int, int] = defaultdict(int)
-    for (a, b), n in nlast.items():
-        pairs = n * (n - 1) // 2
-        if pairs:
-            eta_v[a] += pairs
-            eta_v[b] += pairs
     return {
         "tau": tau,
         "tau_v": dict(tau_v),
         "eta": eta,
-        "eta_v": dict(eta_v),
         "nlast": dict(nlast),
         "triangles": tris,
     }

@@ -107,3 +107,25 @@ class TestLocalNRMSE:
         exact = pd.DataFrame({"v": [5], "tau_v": [2]})
         est = pd.DataFrame({"run": [0, 1], "v": [5, 5], "est": [1.0, 3.0]})
         assert local_nrmse(est, exact, n_runs=2) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: nrmse([], 10),
+        lambda: local_nrmse(
+            pd.DataFrame(columns=["run", "v", "est"]),
+            pd.DataFrame(columns=["v", "tau_v"]),
+            n_runs=2,
+        ),
+        lambda: local_nrmse(
+            pd.DataFrame(columns=["run", "v", "est"]),
+            pd.DataFrame({"v": [1], "tau_v": [3]}),
+            n_runs=0,
+        ),
+    ],
+    ids=["nrmse-no-estimates", "local-no-nodes", "local-zero-runs"],
+)
+def test_undefined_input_raises_instead_of_nan(call):
+    with pytest.raises(ValueError):
+        call()

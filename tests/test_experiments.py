@@ -87,6 +87,16 @@ def test_local_nrmse(spark):
     assert sub["rept"] < sub["mascot"]
 
 
+def test_local_nrmse_closed_forms_start_no_job(spark, job_group):
+    # Exact τ_v and the REPT/MASCOT closed forms all run on the driver.
+    out = run_local_nrmse(
+        spark, p_inv=4, c_list=[4], datasets=["Flickr"], methods=("rept", "mascot"),
+        r_rept=12, r_pool=3, scale=SMALL_SCALE,
+    )
+    assert set(out["method"]) == {"rept", "mascot"}
+    assert job_group() == (0, 0)
+
+
 def test_runtime(spark):
     out = run_runtime(
         spark, c=3, p_invs=(10,), datasets=["YouTube"], scale=SMALL_SCALE

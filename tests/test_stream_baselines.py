@@ -2,12 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.closed_form import (
-    chunk_parallel_local,
-    mascot_local_trial_counts,
-    mascot_trial_estimates,
-)
-from repro.stream.engine import pooled_parallel_estimates
+from repro.core.closed_form import mascot_local_trial_counts, mascot_trial_estimates
+from repro.stream.engine import pooled_parallel_estimates, pooled_parallel_local
 from repro.stream.gps import gps_processor
 from repro.stream.mascot import mascot_processor
 from repro.graphs.datasets import load_stream
@@ -78,7 +74,8 @@ class TestMascot:
     def test_chunk_parallel_local(self, spark, yt):
         p = 0.4
         tc = mascot_local_trial_counts(spark, yt, p, [1, 2])
-        sparse, n_runs = chunk_parallel_local(tc, 2, p, 2)
+        tc["est"] = tc["cnt"] / (p * p)
+        sparse, n_runs = pooled_parallel_local(tc, 2, 2)
         assert n_runs == 1
         merged = tc.groupby("v")["cnt"].sum()
         for _, row in sparse.iterrows():

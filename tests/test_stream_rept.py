@@ -171,4 +171,3 @@ class TestStatistics:
         est = rept_global_runs(spark, t, 3, 8, [500 + i for i in range(400)])
         mean = est["tau_hat"].mean()
         assert abs(mean - t.tau) < 0.15 * t.tau + 3
-        t.unpersist()
