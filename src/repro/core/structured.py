@@ -3,14 +3,14 @@
 The edge stream arrives as files in a directory (the paper's future-work
 direction), and a file-source query hands each micro-batch to a
 ``foreachBatch`` sink. The sink collects the batch once (Arrow
-``toPandas``), sorts it by ``t`` and runs the c processors' loops over it
-one after another, on the driver: every processor observes every edge
-but inserts only the edges hashing to its bucket.
+``toPandas``), sorts it by ``t`` and runs the shared
+:func:`repro.stream.rept.semi_triangle_pass` once per processor, on the
+driver: each inserts only the edges hashing to its bucket.
 
-The processors' state (adjacency sets, τ^(i), the last ``t`` and the
-``(m, c, seed)`` it was built under) is written atomically after every
-batch to ``<checkpoint_dir>/rept/<batch_id>.pkl``, keeping the last two.
-A batch starts from batch_id − 1's state, held in memory or else read
+The c processors' :class:`~repro.stream.rept.ProcessorState`, the last
+``t`` and the ``(m, c, seed)`` are written atomically after every batch
+to ``<checkpoint_dir>/rept/<batch_id>.pkl``, keeping the last two. A
+batch starts from batch_id − 1's state, held in memory or else read
 back, so a restarted query resumes, a replayed batch counts once, and
 resuming under other settings is refused before any edge is counted.
 
@@ -29,6 +29,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.hashing import bucket
+from repro.stream.rept import ProcessorState, semi_triangle_pass
 
 EDGE_SCHEMA = "t LONG, a LONG, b LONG, k LONG"
 
@@ -38,6 +39,8 @@ def write_stream_files(pdf: pd.DataFrame, out_dir: str, n_files: int = 3) -> lis
     ``n_files`` parquet files in arrival order, with increasing mtimes
     so the file source ingests them chronologically. ``out_dir`` must be
     empty or absent: the file source reads every file in it."""
+    if n_files < 1:
+        raise ValueError(f"need n_files >= 1, got {n_files}")
     os.makedirs(out_dir, exist_ok=True)
     if os.listdir(out_dir):
         raise ValueError(f"{out_dir} already holds files")
@@ -62,18 +65,8 @@ def _feed(state: dict, pdf: pd.DataFrame, batch_id: int, m: int, seed: int) -> N
                          f"t={state['t_max']}: files must arrive in stream order")
     buckets = bucket(pdf["k"].to_numpy().view(np.uint64), seed, m)
     a_col, b_col = pdf["a"].tolist(), pdf["b"].tolist()
-    for proc, adj in enumerate(state["adj"]):
-        tau = state["tau"][proc]
-        for a, b, mine in zip(a_col, b_col, (buckets == proc).tolist()):
-            na = adj.get(a)
-            nb = adj.get(b)
-            if na and nb:
-                common = na & nb if len(na) <= len(nb) else nb & na
-                tau += len(common)
-            if mine:
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
-        state["tau"][proc] = tau
+    for proc, proc_state in enumerate(state["procs"]):
+        semi_triangle_pass(proc_state, a_col, b_col, (buckets == proc).tolist())
     state["t_max"] = int(pdf["t"].iloc[-1])
 
 
@@ -89,10 +82,10 @@ def rept_structured_counts(
     """Run REPT(1/m, c ≤ m) over a file-source edge stream; blocks until
     all available files are processed and returns pandas ``(proc, tau)``
     with the final per-processor semi-triangle counts."""
-    if m < 1 or c < 1:
-        raise ValueError(f"need m >= 1 and c >= 1, got m={m}, c={c}")
-    if c > m:
-        raise ValueError("structured job implements the c <= m case")
+    if not 1 <= c <= m:
+        raise ValueError(f"structured job needs 1 <= c <= m, got m={m}, c={c}")
+    if max_files_per_trigger is not None and max_files_per_trigger < 1:
+        raise ValueError(f"need max_files_per_trigger >= 1, got {max_files_per_trigger}")
     state_dir = os.path.join(checkpoint_dir, "rept")
     os.makedirs(state_dir, exist_ok=True)
 
@@ -101,8 +94,8 @@ def rept_structured_counts(
 
     def load(batch_id: int) -> dict:
         if batch_id < 0:
-            return {"settings": (m, c, seed), "t_max": -1, "tau": [0] * c,
-                    "adj": [{} for _ in range(c)]}
+            return {"settings": (m, c, seed), "t_max": -1,
+                    "procs": [ProcessorState() for _ in range(c)]}
         with open(path(batch_id), "rb") as f:
             return pickle.load(f)
 
@@ -127,9 +120,9 @@ def rept_structured_counts(
         held_id, held = batch_id, state
 
     reader = spark.readStream.schema(EDGE_SCHEMA)
-    if max_files_per_trigger:
+    if max_files_per_trigger is not None:
         reader = reader.option("maxFilesPerTrigger", max_files_per_trigger)
     writer = reader.parquet(input_dir).writeStream.foreachBatch(_batch).trigger(availableNow=True)
     writer.option("checkpointLocation", checkpoint_dir).start().awaitTermination()
-    tau = np.array(held["tau"], dtype=np.int64)
+    tau = np.array([p.tau for p in held["procs"]], dtype=np.int64)
     return pd.DataFrame({"proc": np.arange(c, dtype=np.int64), "tau": tau})

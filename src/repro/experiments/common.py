@@ -49,6 +49,14 @@ def dataset_seed(base: int, name: str, *extra: int) -> int:
     return mix_seeds(base, DATASETS.index(name) + 1, *extra)
 
 
+def baseline_budgets(p: float, n_edges: int) -> tuple[int, int]:
+    """Edge budgets of Trièst and GPS at the memory of sampling
+    probability p: Trièst holds ``max(2, round(p·|E|))`` edges (at most
+    |E|) and GPS half that, since its weights cost the other half."""
+    triest = max(2, min(n_edges, round(p * n_edges)))
+    return triest, max(2, triest // 2)
+
+
 def save_result(df: pd.DataFrame, name: str) -> str:
     """Write ``results/<name>.csv`` atomically: a failed write leaves the
     previous file intact."""

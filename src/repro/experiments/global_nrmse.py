@@ -17,7 +17,9 @@ from pyspark.sql import SparkSession
 from repro.core.closed_form import mascot_trial_estimates, rept_global_runs
 from repro.core.estimators import nrmse
 from repro.core.hashing import mix_seeds
-from repro.experiments.common import dataset_seed, get_tables, profile_datasets, save_result
+from repro.experiments.common import (
+    baseline_budgets, dataset_seed, get_tables, profile_datasets, save_result,
+)
 from repro.stream.engine import global_estimates, pooled_parallel_estimates, run_stream_trials
 
 DEFAULT_METHODS = ("rept", "mascot", "triest", "gps")
@@ -51,13 +53,13 @@ def run_global_nrmse(
     for name in profile_datasets(datasets):
         t = get_tables(spark, name, scale, seed)
         base = dataset_seed(seed, name, p_inv)
-        budget = max(2, round(p * t.stream.n_edges))
+        budgets = baseline_budgets(p, t.stream.n_edges)
 
         pools: dict[str, np.ndarray] = {}
         if "mascot" in methods:
             seeds = [mix_seeds(base, 1, i) for i in range(r_pool_mascot * c_max)]
             pools["mascot"] = mascot_trial_estimates(spark, t, p, seeds)
-        for meth, budget_m in (("triest", budget), ("gps", max(2, budget // 2))):
+        for meth, budget_m in zip(("triest", "gps"), budgets):
             if meth not in methods:
                 continue
             specs = [

@@ -13,7 +13,9 @@ from pyspark.sql import SparkSession
 from repro.core.closed_form import mascot_local_trial_counts, rept_local_runs
 from repro.core.estimators import local_nrmse
 from repro.core.hashing import mix_seeds
-from repro.experiments.common import dataset_seed, get_tables, profile_datasets, save_result
+from repro.experiments.common import (
+    baseline_budgets, dataset_seed, get_tables, profile_datasets, save_result,
+)
 from repro.graphs.exact import local_counts
 from repro.stream.engine import pooled_parallel_local, run_stream_trials
 
@@ -40,7 +42,7 @@ def run_local_nrmse(
         t = get_tables(spark, name, scale, seed)
         exact = local_counts(t.index)
         base = dataset_seed(seed, name, p_inv, 99)
-        budget = max(2, round(p * t.stream.n_edges))
+        budget, _ = baseline_budgets(p, t.stream.n_edges)
 
         mascot_pool = None
         if "mascot" in methods:

@@ -12,7 +12,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.hashing import mix_seeds
-from repro.experiments.common import dataset_seed, profile_datasets, save_result
+from repro.experiments.common import baseline_budgets, dataset_seed, profile_datasets, save_result
 from repro.graphs.datasets import load_stream
 from repro.stream.engine import global_estimates, run_stream_trials
 
@@ -34,7 +34,7 @@ def run_runtime(
         for p_inv in p_invs:
             p = 1.0 / p_inv
             base = dataset_seed(seed, name, p_inv, 7777)
-            budget = max(2, round(p * stream.n_edges))
+            budget, gps_budget = baseline_budgets(p, stream.n_edges)
             specs: list[dict] = []
             meta: list[str] = []
             rept_seed = mix_seeds(base, 0)
@@ -48,9 +48,7 @@ def run_runtime(
                 specs.append({"method": "triest", "budget": budget, "seed": mix_seeds(base, 2, i)})
                 meta.append("triest")
             for i in range(c):
-                specs.append(
-                    {"method": "gps", "budget": max(2, budget // 2), "seed": mix_seeds(base, 3, i)}
-                )
+                specs.append({"method": "gps", "budget": gps_budget, "seed": mix_seeds(base, 3, i)})
                 meta.append("gps")
             trials = global_estimates(run_stream_trials(spark, stream, specs))
             trials = trials.assign(method=meta)

@@ -15,7 +15,7 @@ from pyspark.sql import SparkSession
 from repro.core.closed_form import mascot_trial_estimates, rept_global_runs
 from repro.core.estimators import nrmse
 from repro.core.hashing import mix_seeds
-from repro.experiments.common import dataset_seed, get_tables, save_result
+from repro.experiments.common import baseline_budgets, dataset_seed, get_tables, save_result
 from repro.stream.engine import global_estimates, run_stream_trials
 
 
@@ -39,7 +39,7 @@ def run_single_thread(
     rows = []
     for c in c_list:
         p_s = min(1.0, c * p)
-        budget_s = max(2, min(n_edges, round(c * p * n_edges)))
+        budgets_s = baseline_budgets(c * p, n_edges)
 
         # REPT: c concurrent processors; runtime = max processor time.
         rept_seed = mix_seeds(base, 0, c)
@@ -74,7 +74,7 @@ def run_single_thread(
         )
 
         # Trièst-S and GPS-S: sequential trials for both time and error.
-        for meth, budget in (("triest", budget_s), ("gps", max(2, budget_s // 2))):
+        for meth, budget in zip(("triest", "gps"), budgets_s):
             specs = [
                 {"method": meth, "budget": budget, "seed": mix_seeds(base, 6, c, meth == "gps", i)}
                 for i in range(r_err)

@@ -31,10 +31,10 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.graphs.datasets import Stream
-from repro.stream.gps import gps_processor
-from repro.stream.mascot import mascot_processor
-from repro.stream.rept import rept_processor
-from repro.stream.triest import triest_processor
+from repro.stream.gps import check_gps, gps_processor
+from repro.stream.mascot import check_mascot, mascot_processor
+from repro.stream.rept import check_rept, rept_processor
+from repro.stream.triest import check_triest, triest_processor
 
 _DTYPES = {"trial": "int64", "v": "int64", "est": "float64", "eta": "float64",
            "n_sampled": "int64", "elapsed": "float64"}
@@ -58,15 +58,13 @@ def _check_spec(spec: dict) -> None:
     if missing:
         raise ValueError(f"{method} spec is missing {missing}")
     if method == "rept":
-        if spec["m"] < 1:
-            raise ValueError(f"rept needs m >= 1, got m={spec['m']}")
-        if not 0 <= spec["proc"] < spec["m"]:
-            raise ValueError(f"rept needs 0 <= proc < m={spec['m']}, got proc={spec['proc']}")
+        check_rept(spec["m"], spec["proc"])
     elif method == "mascot":
-        if not 0 < spec["p"] <= 1:
-            raise ValueError(f"mascot needs p in (0, 1], got p={spec['p']}")
-    elif spec["budget"] < 2:
-        raise ValueError(f"{method} needs a budget of at least 2 edges, got {spec['budget']}")
+        check_mascot(spec["p"])
+    elif method == "triest":
+        check_triest(spec["budget"])
+    else:
+        check_gps(spec["budget"])
 
 
 def _run_one(stream: Stream, spec: dict, track_local: bool) -> tuple[dict, dict, dict]:
@@ -146,9 +144,15 @@ def global_estimates(trials: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
+def _check_c(c: int) -> None:
+    if c < 1:
+        raise ValueError("need c >= 1")
+
+
 def pooled_parallel_estimates(trial_estimates: np.ndarray, c: int) -> np.ndarray:
     """Average disjoint chunks of c i.i.d. trials into parallel-c
     estimates (the paper's 'parallelize by averaging' baseline)."""
+    _check_c(c)
     n = (len(trial_estimates) // c) * c
     if n == 0:
         raise ValueError(f"need at least c={c} trials")
@@ -161,6 +165,7 @@ def pooled_parallel_local(
     """Parallel-c local estimates from pooled per-trial sparse locals:
     run = trial // c, est = (Σ member estimates)/c (absent = 0).
     Returns (sparse pandas ``run, v, est``, n_runs)."""
+    _check_c(c)
     n_runs = n_trials // c
     if n_runs == 0:
         raise ValueError(f"need at least c={c} trials")

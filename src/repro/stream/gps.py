@@ -20,6 +20,12 @@ from repro.core.hashing import uniform01
 from repro.graphs.datasets import Stream
 
 
+def check_gps(budget: int) -> None:
+    """Raise ``ValueError`` for a sample of fewer than 2 edges."""
+    if budget < 2:
+        raise ValueError(f"GPS needs a budget of at least 2 edges, got {budget}")
+
+
 def gps_processor(
     stream: Stream,
     budget: int,
@@ -28,8 +34,7 @@ def gps_processor(
     track_local: bool = False,
 ) -> dict:
     """One GPS-lite trial with sample-size ``budget``."""
-    if budget < 2:
-        raise ValueError("GPS needs a budget of at least 2 edges")
+    check_gps(budget)
     u01 = uniform01(stream.k, seed)
     adj: dict[int, set[int]] = {}
     weight: dict[tuple[int, int], float] = {}

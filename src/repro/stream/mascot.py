@@ -1,11 +1,10 @@
 """Sequential MASCOT processor (improved variant, Lim & Kang KDD'15).
 
-For every arriving edge it first counts the semi-triangles closed
-against the current Bernoulli(p) sample (adding 1/p² to the global and
-incident local counters), then samples the edge with probability p.
-Sampling randomness is the deterministic per-edge ``uniform01`` hash,
-so one trial is bit-reproducible and matches the closed-form evaluator
-(:mod:`repro.core.closed_form`) at the same seed.
+A trial is one processor of :func:`repro.stream.rept.semi_triangle_pass`
+whose own edges pass a Bernoulli(p) test: each edge's semi-triangles are
+counted before it is sampled, then scaled by 1/p². The test is the
+deterministic per-edge ``uniform01`` hash, so a trial is bit-reproducible
+and matches the closed-form evaluator (:mod:`repro.core.closed_form`).
 """
 from __future__ import annotations
 
@@ -13,6 +12,13 @@ import time
 
 from repro.core.hashing import uniform01
 from repro.graphs.datasets import Stream
+from repro.stream.rept import ProcessorState, semi_triangle_pass
+
+
+def check_mascot(p: float) -> None:
+    """Raise ``ValueError`` unless ``0 < p <= 1``."""
+    if not 0 < p <= 1:
+        raise ValueError(f"mascot needs p in (0, 1], got p={p}")
 
 
 def mascot_processor(
@@ -21,33 +27,19 @@ def mascot_processor(
     """One MASCOT trial. Returns the raw semi-triangle count ``cnt``,
     the estimate ``tau_hat = cnt/p²``, sparse local estimates, sample
     size and loop wall time."""
+    check_mascot(p)
     sampled = uniform01(stream.k, seed) < p
-    adj: dict[int, set[int]] = {}
-    cnt = 0
-    cnt_v: dict[int, int] = {}
+    state = ProcessorState()
     t0 = time.perf_counter()
-    for a, b, keep in zip(stream.u.tolist(), stream.v.tolist(), sampled.tolist()):
-        na = adj.get(a)
-        nb = adj.get(b)
-        if na and nb:
-            common = na & nb if len(na) <= len(nb) else nb & na
-            n_common = len(common)
-            if n_common:
-                cnt += n_common
-                if track_local:
-                    cnt_v[a] = cnt_v.get(a, 0) + n_common
-                    cnt_v[b] = cnt_v.get(b, 0) + n_common
-                    for w in common:
-                        cnt_v[w] = cnt_v.get(w, 0) + 1
-        if keep:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
+    semi_triangle_pass(
+        state, stream.u.tolist(), stream.v.tolist(), sampled.tolist(), track_local=track_local
+    )
     elapsed = time.perf_counter() - t0
     inv = 1.0 / (p * p)
     return {
-        "cnt": cnt,
-        "tau_hat": cnt * inv,
-        "tau_v_hat": {v: x * inv for v, x in cnt_v.items()},
-        "n_sampled": sum(len(s) for s in adj.values()) // 2,
+        "cnt": state.tau,
+        "tau_hat": state.tau * inv,
+        "tau_v_hat": {v: x * inv for v, x in state.tau_v.items()},
+        "n_sampled": state.n_sampled(),
         "elapsed": elapsed,
     }

@@ -1,26 +1,94 @@
 """Sequential per-processor REPT (paper Algorithms 1 and 2).
 
-``rept_processor`` is the body of the paper's ``foreach (u,v) ∈ Π``
-loop for one processor: it maintains the sampled edge set E^(i) as
-adjacency sets, counts semi-triangles (τ^(i), τ_v^(i)), and — when
-``track_eta`` — the triangle-pair counters (η^(i), η_v^(i), τ^(i)_(u,v))
-of Algorithm 2, faithfully including the ``τ_(u,v) ← |N_uv|``
-initialization at insert time.
-
-``rept_run`` assembles a full REPT estimate (either algorithm) from c
-sequential processors — the oracle that tests and the benchmark check
-against; the NRMSE sweeps use the closed-form evaluator
-(:mod:`repro.core.closed_form`) instead.
+:func:`semi_triangle_pass` is the paper's ``foreach (u,v) ∈ Π`` loop for
+one processor, shared by REPT, the MASCOT baseline
+(:mod:`repro.stream.mascot`) and the Structured Streaming sink
+(:mod:`repro.core.structured`); it resumes from a :class:`ProcessorState`,
+so a stream may be fed in pieces. ``rept_run`` assembles a full REPT
+estimate (either algorithm) from c sequential processors — the oracle
+that tests and the benchmark check against; the NRMSE sweeps use the
+closed-form evaluator (:mod:`repro.core.closed_form`) instead.
 """
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.estimators import combine_alg2
 from repro.core.hashing import bucket, group_seed
 from repro.graphs.datasets import Stream
+
+
+@dataclass
+class ProcessorState:
+    """One processor's sample E^(i) as adjacency sets, its counters, and
+    τ^(i)_(u,v) per sampled edge (u < v) when η is tracked."""
+
+    adj: dict[int, set[int]] = field(default_factory=dict)
+    tau: int = 0
+    eta: int = 0
+    tau_v: dict[int, int] = field(default_factory=dict)
+    eta_v: dict[int, int] = field(default_factory=dict)
+    tau_edge: dict[tuple[int, int], int] = field(default_factory=dict)
+
+    def n_sampled(self) -> int:
+        return sum(len(s) for s in self.adj.values()) // 2
+
+
+def semi_triangle_pass(
+    state: ProcessorState, u: list[int], v: list[int], held: list[bool],
+    track_eta: bool = False, track_local: bool = False,
+) -> None:
+    """Feed the edges ``(u[j], v[j])`` in order to ``state``. Each adds
+    the semi-triangles it closes against the sample (τ, and τ_v when
+    ``track_local``) and, when ``track_eta``, the triangle-pair counters
+    η (η_v) of Algorithm 2; then it is inserted where ``held[j]``, with
+    ``τ_(u,v) ← |N_uv|`` (DESIGN.md §1). The common neighbours are
+    walked only when η or τ_v is tracked. Pass the same flags on every
+    call for one state."""
+    adj = state.adj
+    tau, eta = state.tau, state.eta
+    tau_v, eta_v, tau_edge = state.tau_v, state.eta_v, state.tau_edge
+    for a, b, mine in zip(u, v, held):
+        na = adj.get(a)
+        nb = adj.get(b)
+        n_common = 0
+        if na and nb:
+            common = na & nb if len(na) <= len(nb) else nb & na
+            n_common = len(common)
+            tau += n_common
+            if n_common and track_local:
+                tau_v[a] = tau_v.get(a, 0) + n_common
+                tau_v[b] = tau_v.get(b, 0) + n_common
+                for w in common:
+                    tau_v[w] = tau_v.get(w, 0) + 1
+            if n_common and track_eta:
+                for w in common:
+                    kaw = (a, w) if a < w else (w, a)
+                    kbw = (b, w) if b < w else (w, b)
+                    tuw = tau_edge[kaw]
+                    tvw = tau_edge[kbw]
+                    eta += tuw + tvw
+                    if track_local:
+                        eta_v[w] = eta_v.get(w, 0) + tuw + tvw
+                        eta_v[a] = eta_v.get(a, 0) + tuw
+                        eta_v[b] = eta_v.get(b, 0) + tvw
+                    tau_edge[kaw] = tuw + 1
+                    tau_edge[kbw] = tvw + 1
+        if mine:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+            if track_eta:
+                tau_edge[(a, b) if a < b else (b, a)] = n_common
+    state.tau, state.eta = tau, eta
+
+
+def check_rept(m: int, proc: int) -> None:
+    """Raise ``ValueError`` unless ``0 <= proc < m``."""
+    if not 0 <= proc < m:
+        raise ValueError(f"rept needs 0 <= proc < m, got proc={proc}, m={m}")
 
 
 def rept_processor(
@@ -36,55 +104,21 @@ def rept_processor(
     Returns ``tau`` (τ^(i)), ``eta`` (η^(i)), sparse dicts ``tau_v`` /
     ``eta_v``, the number of stored edges, and the loop wall time.
     """
+    check_rept(m, proc)
     buckets = bucket(stream.k, seed, m)
-    adj: dict[int, set[int]] = {}
-    tau = 0
-    eta = 0
-    tau_v: dict[int, int] = {}
-    eta_v: dict[int, int] = {}
-    tau_edge: dict[tuple[int, int], int] = {}
+    state = ProcessorState()
     t0 = time.perf_counter()
-    for a, b, mine in zip(stream.u.tolist(), stream.v.tolist(), (buckets == proc).tolist()):
-        na = adj.get(a)
-        nb = adj.get(b)
-        n_common = 0
-        if na and nb:
-            common = na & nb if len(na) <= len(nb) else nb & na
-            n_common = len(common)
-            if n_common:
-                tau += n_common
-                if track_local:
-                    tau_v[a] = tau_v.get(a, 0) + n_common
-                    tau_v[b] = tau_v.get(b, 0) + n_common
-                for w in common:
-                    if track_local:
-                        tau_v[w] = tau_v.get(w, 0) + 1
-                    if track_eta:
-                        kaw = (a, w) if a < w else (w, a)
-                        kbw = (b, w) if b < w else (w, b)
-                        tuw = tau_edge[kaw]
-                        tvw = tau_edge[kbw]
-                        eta += tuw + tvw
-                        if track_local:
-                            eta_v[w] = eta_v.get(w, 0) + tuw + tvw
-                            eta_v[a] = eta_v.get(a, 0) + tuw
-                            eta_v[b] = eta_v.get(b, 0) + tvw
-                        tau_edge[kaw] = tuw + 1
-                        tau_edge[kbw] = tvw + 1
-        if mine:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-            if track_eta:
-                key = (a, b) if a < b else (b, a)
-                tau_edge[key] = n_common
+    semi_triangle_pass(
+        state, stream.u.tolist(), stream.v.tolist(), (buckets == proc).tolist(),
+        track_eta, track_local,
+    )
     elapsed = time.perf_counter() - t0
-    n_sampled = sum(len(s) for s in adj.values()) // 2
     return {
-        "tau": tau,
-        "eta": eta,
-        "tau_v": tau_v,
-        "eta_v": eta_v,
-        "n_sampled": n_sampled,
+        "tau": state.tau,
+        "eta": state.eta,
+        "tau_v": state.tau_v,
+        "eta_v": state.eta_v,
+        "n_sampled": state.n_sampled(),
         "elapsed": elapsed,
     }
 
@@ -97,6 +131,8 @@ def rept_run(
     Mirrors Algorithm 1 (c ≤ m) / Algorithm 2 (c > m) including the
     Graybill–Deal combination; local estimates are sparse dicts.
     """
+    if m < 1 or c < 1:
+        raise ValueError(f"need m >= 1 and c >= 1, got m={m}, c={c}")
     if c <= m:
         procs = [
             rept_processor(stream, m, i, seed, track_eta=False, track_local=track_local)

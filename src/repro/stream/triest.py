@@ -15,12 +15,17 @@ import numpy as np
 from repro.graphs.datasets import Stream
 
 
+def check_triest(budget: int) -> None:
+    """Raise ``ValueError`` for a sample of fewer than 2 edges."""
+    if budget < 2:
+        raise ValueError(f"Trièst needs a budget of at least 2 edges, got {budget}")
+
+
 def triest_processor(
     stream: Stream, budget: int, seed: int, track_local: bool = False
 ) -> dict:
     """One Trièst-IMPR trial with reservoir size ``budget``."""
-    if budget < 2:
-        raise ValueError("Trièst needs a budget of at least 2 edges")
+    check_triest(budget)
     rng = np.random.default_rng(seed)
     n = stream.n_edges
     # Pre-draw reservoir randomness in bulk (cheaper than per-step calls).

@@ -10,8 +10,9 @@ from repro.stream.engine import (
 )
 from repro.stream.gps import gps_processor
 from repro.stream.mascot import mascot_processor
-from repro.stream.rept import rept_processor
+from repro.stream.rept import rept_processor, rept_run
 from repro.stream.triest import triest_processor
+from tests.helpers import tiny_stream
 
 
 @pytest.fixture(scope="module")
@@ -147,9 +148,37 @@ def test_bad_spec_rejected_before_any_job(spark, yt, job_group, spec):
     assert job_group() == (0, 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: rept_processor(s, 0, 0, 1),
+        lambda s: rept_processor(s, 4, 4, 1),
+        lambda s: rept_processor(s, 4, -1, 1),
+        lambda s: mascot_processor(s, 0.0, 1),
+        lambda s: mascot_processor(s, -1.0, 1),
+        lambda s: mascot_processor(s, 1.5, 1),
+        lambda s: triest_processor(s, 1, 1),
+        lambda s: gps_processor(s, 1, 1),
+        lambda s: rept_run(s, 4, 0, 1),
+        lambda s: rept_run(s, 4, -1, 1),
+        lambda s: rept_run(s, 0, 1, 1),
+    ],
+    ids=[
+        "m<1", "proc>=m", "proc<0", "p=0", "p<0", "p>1", "triest_budget<2", "gps_budget<2",
+        "rept_run_c=0", "rept_run_c<0", "rept_run_m<1",
+    ],
+)
+def test_bad_parameters_rejected_by_direct_call(call):
+    with pytest.raises(ValueError):
+        call(tiny_stream())
+
+
 def test_pooled_parallel_estimates():
     out = pooled_parallel_estimates(np.arange(12, dtype=float), 4)
     assert out.tolist() == [1.5, 5.5, 9.5]
+    for c in (0, -1, -2):
+        with pytest.raises(ValueError, match="need c >= 1"):
+            pooled_parallel_estimates(np.arange(12, dtype=float), c)
 
 
 def test_pooled_parallel_local(spark, yt):
@@ -157,6 +186,9 @@ def test_pooled_parallel_local(spark, yt):
     out = run_stream_trials(spark, yt, specs, track_local=True)
     sparse, n_runs = pooled_parallel_local(out, 2, 4)
     assert n_runs == 2
+    for c in (0, -1):
+        with pytest.raises(ValueError, match="need c >= 1"):
+            pooled_parallel_local(out, c, 2)
     # spot-check one aggregated value
     direct = [mascot_processor(yt, 0.5, i, track_local=True)["tau_v_hat"] for i in range(2)]
     v = sparse["v"].iloc[0]

@@ -19,6 +19,15 @@ from tests.helpers import SMALL_SCALE
 DS = ["YouTube", "Flickr"]
 
 
+@pytest.mark.parametrize(
+    "p,n_edges,want",
+    [(0.1, 1000, (100, 50)), (0.001, 1000, (2, 2)), (0.003, 1000, (3, 2)), (3.0, 1000, (1000, 500))],
+    ids=["p|E|", "floor", "gps_floor", "clip"],
+)
+def test_baseline_budgets(p, n_edges, want):
+    assert common.baseline_budgets(p, n_edges) == want
+
+
 def test_table2(spark):
     out = run_table2(spark, datasets=DS, scale=SMALL_SCALE)
     assert set(out["graph"]) == set(DS)

@@ -59,9 +59,13 @@ def test_mascot_stream_equals_reference(seed, hash_seed):
     stream = tiny_stream(n_nodes=18, n_edges=60, seed=seed)
     p = 0.5
     held = uniform01(stream.k, hash_seed) < p
-    ref = processor_counts(_triangle_index(stream), (~held).astype(np.int64), 1)
-    got = mascot_processor(stream, p, hash_seed)
+    tri = _triangle_index(stream)
+    ref = processor_counts(tri, (~held).astype(np.int64), 1, local=True)
+    got = mascot_processor(stream, p, hash_seed, track_local=True)
     assert got["cnt"] == ref["tau"][0]
+    # 1/p² = 4 at p = 0.5, so the scaled local estimates scale back exactly.
+    assert {v: x * p * p for v, x in got["tau_v_hat"].items()} == _sparse(ref["tau_v"], tri.nodes, 0)
+    assert got["n_sampled"] == held.sum()
 
 
 @given(seed=st.integers(0, 10_000))

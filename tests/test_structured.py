@@ -88,6 +88,25 @@ def test_rejects_bad_m_c(spark, tmp_path, m, c):
         )
 
 
+@pytest.mark.parametrize("n_files", [0, -1])
+def test_write_stream_files_rejects_bad_n_files(small, tmp_path, n_files):
+    with pytest.raises(ValueError, match="n_files"):
+        write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=n_files)
+    assert not (tmp_path / "in").exists()
+
+
+@pytest.mark.parametrize("max_files", [0, -1])
+def test_rejects_bad_max_files_per_trigger(spark, small, tmp_path, job_group, max_files):
+    write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=2)
+    with pytest.raises(ValueError, match="max_files_per_trigger"):
+        rept_structured_counts(
+            spark, str(tmp_path / "in"), 3, 2, 1, str(tmp_path / "ckpt"),
+            max_files_per_trigger=max_files,
+        )
+    assert not (tmp_path / "ckpt").exists()
+    assert job_group() == (0, 0)
+
+
 def test_write_stream_files_ordered(small, tmp_path):
     paths = write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=4)
     assert len(paths) == 4
