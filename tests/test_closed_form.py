@@ -28,6 +28,7 @@ BAD_CALLS = {
     "p=0": lambda: mascot_trial_estimates(None, None, 0.0, [1]),
     "p>1": lambda: mascot_local_trial_counts(None, None, 1.5, [1]),
     "no_trials": lambda: mascot_trial_estimates(None, None, 0.5, []),
+    "no_local_trials": lambda: mascot_local_trial_counts(None, None, 0.5, []),
     "t_not_positions": lambda: build_tables(
         None, dataclasses.replace(tiny_stream(), t=tiny_stream().t[::-1].copy())
     ),

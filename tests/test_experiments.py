@@ -85,6 +85,16 @@ def test_global_nrmse_c_gt_m(spark):
     assert np.isfinite(sub["rept"]) and sub["rept"] < sub["mascot"] * 1.5
 
 
+def test_global_nrmse_closed_forms_start_no_job(spark, job_group):
+    # c > m: REPT's Algorithm 2 and the packed MASCOT pool run on the driver.
+    out = run_global_nrmse(
+        spark, p_inv=3, c_list=[7], datasets=["YouTube"],
+        methods=("rept", "mascot"), r_rept=40, r_pool=6, scale=SMALL_SCALE,
+    )
+    assert set(out["method"]) == {"rept", "mascot"}
+    assert job_group() == (0, 0)
+
+
 def test_local_nrmse(spark):
     out = run_local_nrmse(
         spark, p_inv=4, c_list=[4], datasets=["Flickr"],

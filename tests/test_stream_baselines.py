@@ -82,6 +82,43 @@ class TestMascot:
             assert row["est"] == pytest.approx(merged[row["v"]] / (p * p * 2))
 
 
+#: Pool sizes on both sides of the 64-trial word boundaries.
+PACKED_POOLS = (1, 63, 64, 65, 130)
+
+
+@pytest.fixture(scope="module", params=[0.2, 0.5, 1.0])
+def per_seed(request, yt):
+    """``p`` and the simulator's MASCOT trial for each seed of the largest pool."""
+    p = request.param
+    runs = [mascot_processor(yt.stream, p, s, track_local=True) for s in range(max(PACKED_POOLS))]
+    return p, runs
+
+
+class TestMascotPacked:
+    """The closed-form pools pack 64 trials to a word; trial i of a pool
+    must still equal the simulator's trial under seed i."""
+
+    @pytest.mark.parametrize("n", PACKED_POOLS)
+    def test_global_equals_simulator(self, spark, yt, per_seed, n):
+        p, runs = per_seed
+        got = mascot_trial_estimates(spark, yt, p, list(range(n)))
+        assert got.dtype == np.float64
+        assert got.tolist() == [r["cnt"] / (p * p) for r in runs[:n]]
+
+    @pytest.mark.parametrize("n", PACKED_POOLS)
+    def test_local_equals_simulator(self, spark, yt, per_seed, n):
+        p, runs = per_seed
+        got = mascot_local_trial_counts(spark, yt, p, list(range(n)))
+        assert (got.dtypes == np.int64).all()
+        want = [
+            (trial, v, round(x * p * p))
+            for trial, r in enumerate(runs[:n])
+            for v, x in sorted(r["tau_v_hat"].items())
+            if x > 0
+        ]
+        assert list(got.itertuples(index=False, name=None)) == want
+
+
 class TestTriest:
     def test_big_budget_exact(self, yt):
         bf = brute_force(yt.stream)
