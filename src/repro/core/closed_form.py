@@ -4,8 +4,9 @@ Every output is a deterministic function of one hash per edge, evaluated
 with numpy gathers and ``np.bincount`` over the triangle arrays of
 :class:`repro.graphs.exact.TriangleIndex` on the driver, reproducing
 exactly what the sequential simulators in :mod:`repro.stream` output.
-REPT: :func:`processor_counts` evaluates one seed (one group seed for
-Algorithm 2); Algorithm 1 reads τ only, so it skips the η counters.
+REPT: :func:`processor_counts` evaluates one group of the run's plan
+(:func:`repro.core.hashing.rept_groups`) under its seed; Algorithm 1
+reads τ only, so it skips the η counters.
 MASCOT: a trial is the one processor that holds the edges passing its
 Bernoulli(p) test. Trials are packed 64 to a ``uint64`` word per edge,
 so one gather over the triangle arrays serves 64 trials; a pool of N
@@ -17,8 +18,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.estimators import combine_alg2
-from repro.core.hashing import bucket, group_seed, uniform01
+from repro.core.estimators import rept_estimate
+from repro.core.hashing import bucket, rept_groups, uniform01
 from repro.graphs.exact import TriangleIndex, TriangleTables
 
 
@@ -67,44 +68,29 @@ def processor_counts(
     return out
 
 
-def _check(seeds: list[int], m: int = 1, c: int = 1, p: float = 1.0) -> None:
+def _check(seeds: list[int], p: float = 1.0) -> None:
     """Reject run parameters the closed forms are undefined for."""
-    if m < 1 or c < 1:
-        raise ValueError(f"need m >= 1 and c >= 1, got m={m}, c={c}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
 
 
-def _rept_sums(tables: TriangleTables, m: int, c: int, seed: int, local: bool):
-    """Raw sums of one REPT run: Σ τ^(i) over the full groups (over all c
-    processors for Algorithm 1), Σ τ^(i) over the leftover group, and
-    Σ η^(i) over every processor; per node when ``local``."""
+def _rept_counts(tables: TriangleTables, m: int, c: int, seed: int, local: bool):
+    """τ^(i) of one REPT run's c processors in plan order, stacked on axis
+    0, and Σ η^(i) over them (0 for c ≤ m); τ_v^(i) and Σ η_v^(i) when
+    ``local``."""
     tau, eta = ("tau_v", "eta_v") if local else ("tau", "eta")
-    if c <= m:
-        # Algorithm 1 reads no η: count τ only.
-        r, _, _ = _tau_counts(tables.index, bucket(tables.stream.k, seed, m), c, local)
-        return r[tau].sum(axis=0), 0, 0
-    c1, c2 = divmod(c, m)
-    full = part = eta_sum = 0
-    for g in range(c1 + (1 if c2 else 0)):
-        lim = m if g < c1 else c2
-        r = processor_counts(
-            tables.index, bucket(tables.stream.k, group_seed(seed, g), m), lim, local
-        )
-        if g < c1:
-            full = full + r[tau].sum(axis=0)
-        else:
-            part = r[tau].sum(axis=0)
-        eta_sum = eta_sum + r[eta].sum(axis=0)
-    return full, part, eta_sum
-
-
-def _rept_estimate(full, part, eta_sum, m: int, c: int) -> dict:
-    if c <= m:
-        return {"tau_hat": np.asarray(full) * (m * m / c)}
-    return combine_alg2(full, part, eta_sum, m, c)
+    taus, eta_sum = [], 0
+    for group_seed, lim in rept_groups(m, c, seed):
+        buckets = bucket(tables.stream.k, group_seed, m)
+        if c > m:
+            r = processor_counts(tables.index, buckets, lim, local)
+            eta_sum = eta_sum + r[eta].sum(axis=0)
+        else:  # Algorithm 1 reads no η: count τ only.
+            r, _, _ = _tau_counts(tables.index, buckets, lim, local)
+        taus.append(r[tau])
+    return np.concatenate(taus), eta_sum
 
 
 def rept_global_runs(
@@ -115,12 +101,11 @@ def rept_global_runs(
     Returns pandas ``(run, tau_hat)`` plus diagnostics (``tau1``,
     ``tau2``, ``eta_hat`` for the c > m, c2 ≠ 0 case).
     """
-    _check(seeds, m=m, c=c)
-    sums = [_rept_sums(tables, m, c, s, local=False) for s in seeds]
-    full, part, eta_sum = (np.array(col) for col in zip(*sums))
-    return pd.DataFrame(
-        {"run": range(len(seeds)), **_rept_estimate(full, part, eta_sum, m, c)}
-    )
+    _check(seeds)
+    counts = [_rept_counts(tables, m, c, s, local=False) for s in seeds]
+    tau = np.stack([t for t, _ in counts], axis=1)
+    eta_sum = np.array([e for _, e in counts])
+    return pd.DataFrame({"run": range(len(seeds)), **rept_estimate(tau, eta_sum, m, c)})
 
 
 def rept_local_runs(
@@ -129,12 +114,12 @@ def rept_local_runs(
     """Local REPT estimates as sparse pandas ``(run, v, est)``, one row
     per node with a semi-triangle in the run — the (run, node) pairs
     absent from the output are estimates of 0."""
-    _check(seeds, m=m, c=c)
+    _check(seeds)
     frames = []
     for run, seed in enumerate(seeds):
-        full, part, eta_sum = _rept_sums(tables, m, c, seed, local=True)
-        est = _rept_estimate(full, part, eta_sum, m, c)["tau_hat"]
-        hit = np.flatnonzero(full + part)
+        tau_v, eta_sum = _rept_counts(tables, m, c, seed, local=True)
+        est = rept_estimate(tau_v, eta_sum, m, c)["tau_hat"]
+        hit = np.flatnonzero(tau_v.sum(axis=0))
         frames.append(
             pd.DataFrame({"run": run, "v": tables.index.nodes[hit], "est": est[hit]})
         )

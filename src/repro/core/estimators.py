@@ -1,9 +1,9 @@
 """Estimator math from the paper plus the evaluation error metric.
 
-Variance formulas (paper §III), the Graybill–Deal combination used by
-Algorithm 2, and NRMSE (paper §IV-C) — including the local-count
-variant where a run that sampled nothing at a node contributes an
-estimate of 0.
+Variance formulas (paper §III), REPT's estimate from its processor
+counts (Algorithm 1, and the Graybill–Deal combination of Algorithm 2),
+and NRMSE (paper §IV-C) — including the local-count variant where a run
+that sampled nothing at a node contributes an estimate of 0.
 """
 from __future__ import annotations
 
@@ -46,20 +46,24 @@ def graybill_deal(est1, var1, est2, var2):
     return np.where(tot > 0, comb, est1)
 
 
-def combine_alg2(full_sum, part_sum, eta_sum, m: int, c: int) -> dict[str, np.ndarray]:
-    """Algorithm 2's estimate (c > m) from its raw processor sums.
+def rept_estimate(tau, eta_sum, m: int, c: int) -> dict[str, np.ndarray]:
+    """REPT's estimate τ̂ from τ^(i) of the c processors on the first axis
+    of ``tau`` (further axes over runs or nodes carry through), in the
+    order of :func:`repro.core.hashing.rept_groups`, and Σ η^(i).
 
-    ``full_sum`` is Σ τ^(i) over the c1 = ⌊c/m⌋ full groups, ``part_sum``
-    over the leftover group of c2 = c mod m processors and ``eta_sum``
-    Σ η^(i) over all c processors. Returns ``tau_hat`` and, when c2 > 0,
-    the diagnostics ``tau1``, ``tau2`` and ``eta_hat``. Vectorized: the
-    sums may be arrays over runs or over nodes (local counts).
+    The c1 = ⌊c/m⌋ full groups give τ̂(1) = (m/c1)·Σ τ^(i), the leftover
+    group of c2 = c mod m gives τ̂(2) = (m²/c2)·Σ τ^(i); Algorithm 1 is
+    the one-group case. When both exist, τ̂ is their Graybill–Deal
+    combination, with the diagnostics ``tau1``, ``tau2`` and ``eta_hat``.
     """
     c1, c2 = divmod(c, m)
-    tau1 = np.asarray(full_sum) * (m / c1)
+    tau = np.asarray(tau)
     if c2 == 0:
-        return {"tau_hat": tau1}
-    tau2 = np.asarray(part_sum) * (m * m / c2)
+        return {"tau_hat": tau.sum(axis=0) * (m / c1)}
+    tau2 = tau[c1 * m :].sum(axis=0) * (m * m / c2)
+    if c1 == 0:
+        return {"tau_hat": tau2}
+    tau1 = tau[: c1 * m].sum(axis=0) * (m / c1)
     eta_hat = np.asarray(eta_sum) * (m**3 / c)
     w1 = tau1 * (m - 1) / c1
     w2 = (tau1 * (m * m - c2) + 2.0 * eta_hat * (m - c2)) / c2

@@ -24,7 +24,7 @@ def splitmix64(x) -> np.ndarray:
 
     Vectorized; integer overflow wraps (mod 2^64) by construction.
     """
-    z = np.asarray(x).astype(np.uint64, copy=True)
+    z = np.array(x, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z += _GOLDEN
         z = (z ^ (z >> _U(30))) * _MIX1
@@ -39,8 +39,8 @@ def edge_key(u, v) -> np.ndarray:
     ``(min << 32) | max`` is injective and the final mix is collision-free
     by construction, not merely with high probability.
     """
-    u = np.asarray(u).astype(np.uint64)
-    v = np.asarray(v).astype(np.uint64)
+    u = np.array(u, dtype=np.uint64)
+    v = np.array(v, dtype=np.uint64)
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     return splitmix64((lo << _U(32)) | hi)
@@ -58,15 +58,24 @@ def mix_seeds(*parts: int) -> int:
 _GROUP_SALT = 0xA11CE
 
 
-def group_seed(seed: int, g: int) -> int:
-    """Hash seed of processor group ``g`` in an Algorithm 2 run (c > m):
-    each group of m processors partitions the stream independently."""
-    return mix_seeds(seed, g, _GROUP_SALT)
+def rept_groups(m: int, c: int, seed: int) -> list[tuple[int, int]]:
+    """The processor groups of a REPT(1/m, c) run, ``[(hash seed,
+    processors), …]``; a group's processors hold buckets 0, 1, … of its
+    seed. Algorithm 1 (c ≤ m) is ``[(seed, c)]``; Algorithm 2 (c > m) has
+    ⌊c/m⌋ groups of m, then one of c mod m if nonzero, each under its own
+    seed. Raises ``ValueError`` unless m ≥ 1 and c ≥ 1."""
+    if m < 1 or c < 1:
+        raise ValueError(f"need m >= 1 and c >= 1, got m={m}, c={c}")
+    if c <= m:
+        return [(seed, c)]
+    c1, c2 = divmod(c, m)
+    return [(mix_seeds(seed, g, _GROUP_SALT), m if g < c1 else c2)
+            for g in range(c1 + (c2 > 0))]
 
 
 def derive(key, seed: int) -> np.ndarray:
     """Re-randomize precomputed edge keys under a run seed."""
-    return splitmix64(np.asarray(key).astype(np.uint64) ^ splitmix64(_U(int(seed)))[()])
+    return splitmix64(np.array(key, dtype=np.uint64) ^ splitmix64(_U(int(seed)))[()])
 
 
 def bucket(key, seed: int, m: int) -> np.ndarray:

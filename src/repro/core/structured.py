@@ -5,14 +5,18 @@ direction), and a file-source query hands each micro-batch to a
 ``foreachBatch`` sink. The sink collects the batch once (Arrow
 ``toPandas``), sorts it by ``t`` and runs the shared
 :func:`repro.stream.rept.semi_triangle_pass` once per processor, on the
-driver: each inserts only the edges hashing to its bucket.
+driver. The processors are those of the groups of
+:func:`repro.core.hashing.rept_groups`, so c > m (Algorithm 2) runs in
+one query; each inserts only the edges hashing to its bucket under its
+group's seed. η^(i) is tracked when c > m, for the Graybill–Deal step.
 
-The c processors' :class:`~repro.stream.rept.ProcessorState`, the last
-``t`` and the ``(m, c, seed)`` are written atomically after every batch
-to ``<checkpoint_dir>/rept/<batch_id>.pkl``, keeping the last two. A
-batch starts from batch_id − 1's state, held in memory or else read
-back, so a restarted query resumes, a replayed batch counts once, and
-resuming under other settings is refused before any edge is counted.
+The c processors' :class:`~repro.stream.rept.ProcessorState` (a flat
+list in plan order), the last ``t`` and the ``(m, c, seed)`` are written
+atomically after every batch to ``<checkpoint_dir>/rept/<batch_id>.pkl``,
+keeping the last two. A batch starts from batch_id − 1's state, held in
+memory or else read back, so a restarted query resumes, a replayed batch
+counts once, and resuming under other settings is refused before any
+edge is counted.
 
 End-of-stream counts equal the sequential simulator at the same
 (m, c, seed) (``tests/test_structured.py``). Batches must arrive in
@@ -28,7 +32,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.hashing import bucket
+from repro.core.hashing import bucket, rept_groups
 from repro.stream.rept import ProcessorState, semi_triangle_pass
 
 EDGE_SCHEMA = "t LONG, a LONG, b LONG, k LONG"
@@ -56,17 +60,25 @@ def write_stream_files(pdf: pd.DataFrame, out_dir: str, n_files: int = 3) -> lis
     return paths
 
 
-def _feed(state: dict, pdf: pd.DataFrame, batch_id: int, m: int, seed: int) -> None:
-    """Run every processor over one micro-batch, in stream order."""
+def _feed(
+    state: dict, pdf: pd.DataFrame, batch_id: int, m: int,
+    plan: list[tuple[int, int]], track_eta: bool,
+) -> None:
+    """Run the processors of every group in ``plan`` over one micro-batch,
+    in stream order."""
     pdf = pdf.sort_values("t")
     t_first = int(pdf["t"].iloc[0])
     if t_first <= state["t_max"]:
         raise ValueError(f"micro-batch {batch_id} starts at t={t_first}, not after "
                          f"t={state['t_max']}: files must arrive in stream order")
-    buckets = bucket(pdf["k"].to_numpy().view(np.uint64), seed, m)
+    keys = pdf["k"].to_numpy().view(np.uint64)
     a_col, b_col = pdf["a"].tolist(), pdf["b"].tolist()
-    for proc, proc_state in enumerate(state["procs"]):
-        semi_triangle_pass(proc_state, a_col, b_col, (buckets == proc).tolist())
+    procs = iter(state["procs"])
+    for group_seed, n in plan:
+        buckets = bucket(keys, group_seed, m)
+        for proc in range(n):
+            semi_triangle_pass(next(procs), a_col, b_col, (buckets == proc).tolist(),
+                               track_eta)
     state["t_max"] = int(pdf["t"].iloc[-1])
 
 
@@ -79,11 +91,12 @@ def rept_structured_counts(
     checkpoint_dir: str,
     max_files_per_trigger: int | None = None,
 ) -> pd.DataFrame:
-    """Run REPT(1/m, c ≤ m) over a file-source edge stream; blocks until
-    all available files are processed and returns pandas ``(proc, tau)``
-    with the final per-processor semi-triangle counts."""
-    if not 1 <= c <= m:
-        raise ValueError(f"structured job needs 1 <= c <= m, got m={m}, c={c}")
+    """Run REPT(1/m, c) over a file-source edge stream; blocks until all
+    available files are processed and returns pandas ``(proc, tau, eta)``
+    with the final τ^(i) and η^(i) of the c processors, in the order of
+    :func:`repro.core.hashing.rept_groups` (η only when c > m, else 0).
+    :func:`repro.core.estimators.rept_estimate` turns them into τ̂."""
+    plan = rept_groups(m, c, seed)
     if max_files_per_trigger is not None and max_files_per_trigger < 1:
         raise ValueError(f"need max_files_per_trigger >= 1, got {max_files_per_trigger}")
     state_dir = os.path.join(checkpoint_dir, "rept")
@@ -111,7 +124,7 @@ def rept_structured_counts(
         state = held if held_id == batch_id - 1 else load(batch_id - 1)
         pdf = df.toPandas()
         if len(pdf):  # an empty batch carries the state over
-            _feed(state, pdf, batch_id, m, seed)
+            _feed(state, pdf, batch_id, m, plan, c > m)
         with open(f"{path(batch_id)}.tmp", "wb") as f:
             pickle.dump(state, f, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(f"{path(batch_id)}.tmp", path(batch_id))
@@ -124,5 +137,5 @@ def rept_structured_counts(
         reader = reader.option("maxFilesPerTrigger", max_files_per_trigger)
     writer = reader.parquet(input_dir).writeStream.foreachBatch(_batch).trigger(availableNow=True)
     writer.option("checkpointLocation", checkpoint_dir).start().awaitTermination()
-    tau = np.array([p.tau for p in held["procs"]], dtype=np.int64)
-    return pd.DataFrame({"proc": np.arange(c, dtype=np.int64), "tau": tau})
+    rows = [(i, p.tau, p.eta) for i, p in enumerate(held["procs"])]
+    return pd.DataFrame(rows, columns=["proc", "tau", "eta"])

@@ -14,7 +14,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.closed_form import mascot_trial_estimates, rept_global_runs
 from repro.core.estimators import nrmse
-from repro.core.hashing import mix_seeds
+from repro.core.hashing import mix_seeds, rept_groups
 from repro.experiments.common import baseline_budgets, dataset_seed, get_tables, save_result
 from repro.stream.engine import global_estimates, run_stream_trials
 
@@ -42,14 +42,13 @@ def run_single_thread(
         budgets_s = baseline_budgets(c * p, n_edges)
 
         # REPT: c concurrent processors; runtime = max processor time.
-        rept_seed = mix_seeds(base, 0, c)
+        # For c > m the other groups repeat the same per-processor work —
+        # wall-clock is still one processor's loop; time the first group.
+        group_seed, n = rept_groups(m, c, mix_seeds(base, 0, c))[0]
         specs = [
-            {"method": "rept", "m": m, "proc": i, "seed": rept_seed,
-             "track_eta": c > m and c % m != 0}
-            for i in range(min(c, m))
+            {"method": "rept", "m": m, "proc": i, "seed": group_seed, "track_eta": c > m}
+            for i in range(n)
         ]
-        # For c > m the extra groups repeat the same per-processor work —
-        # wall-clock is still one processor's loop; run one group for timing.
         rt = global_estimates(run_stream_trials(spark, t.stream, specs))
         seeds = [mix_seeds(base, 4, c, i) for i in range(r_rept)]
         est = rept_global_runs(spark, t, m, c, seeds)["tau_hat"].to_numpy()

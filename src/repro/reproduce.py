@@ -17,6 +17,7 @@ import tempfile
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.core.estimators import rept_estimate
 from repro.core.structured import rept_structured_counts, write_stream_files
 from repro.experiments.common import full_profile
 from repro.experiments.fig1 import run_fig1
@@ -54,7 +55,8 @@ def _structured(spark: SparkSession) -> None:
             max_files_per_trigger=1,
         )
     _show(counts)
-    print(f"REPT streaming estimate tau_hat = {(m * m / c) * counts['tau'].sum():.1f}")
+    tau_hat = rept_estimate(counts["tau"], counts["eta"].sum(), m, c)["tau_hat"]
+    print(f"REPT streaming estimate tau_hat = {tau_hat:.1f}")
 
 
 TARGETS = {

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.estimators import combine_alg2
-from repro.core.hashing import bucket, group_seed
+from repro.core.estimators import rept_estimate
+from repro.core.hashing import bucket, rept_groups
 from repro.graphs.datasets import Stream
 
 
@@ -128,47 +128,24 @@ def rept_run(
 ) -> dict:
     """Full REPT estimate from c sequential processors (driver-side).
 
-    Mirrors Algorithm 1 (c ≤ m) / Algorithm 2 (c > m) including the
-    Graybill–Deal combination; local estimates are sparse dicts.
+    Runs the processors of :func:`rept_groups` in plan order, tracking η
+    when c > m, and combines them with :func:`rept_estimate` (Algorithm 1
+    or 2, Graybill–Deal included); local estimates are sparse dicts.
     """
-    if m < 1 or c < 1:
-        raise ValueError(f"need m >= 1 and c >= 1, got m={m}, c={c}")
-    if c <= m:
-        procs = [
-            rept_processor(stream, m, i, seed, track_eta=False, track_local=track_local)
-            for i in range(c)
-        ]
-        tau_hat = (m * m / c) * sum(p["tau"] for p in procs)
-        locals_ = {v: t * (m * m / c) for v, t in _sum_local(procs, "tau_v").items()}
-        return {"tau_hat": tau_hat, "tau_v_hat": locals_, "procs": procs}
-
-    c1, c2 = divmod(c, m)
     procs = [
-        rept_processor(
-            stream, m, i, group_seed(seed, g), track_eta=True, track_local=track_local
-        )
-        for g in range(c1 + (1 if c2 else 0))
-        for i in range(m if g < c1 else c2)
+        rept_processor(stream, m, i, group_seed, track_eta=c > m, track_local=track_local)
+        for group_seed, n in rept_groups(m, c, seed)
+        for i in range(n)
     ]
-    full, part = procs[: c1 * m], procs[c1 * m :]
-    out = combine_alg2(
-        sum(p["tau"] for p in full),
-        sum(p["tau"] for p in part),
-        sum(p["eta"] for p in procs),
-        m,
-        c,
-    )
+    out = rept_estimate([p["tau"] for p in procs], sum(p["eta"] for p in procs), m, c)
     out = {k: float(x) for k, x in out.items()}
 
     locals_: dict[int, float] = {}
     if track_local:
-        t1 = _sum_local(full, "tau_v")
-        t2 = _sum_local(part, "tau_v")
         ev = _sum_local(procs, "eta_v")
-        nodes = sorted(set(t1) | set(t2) | set(ev))
-        est = combine_alg2(
-            np.array([t1.get(v, 0) for v in nodes]),
-            np.array([t2.get(v, 0) for v in nodes]),
+        nodes = sorted(set(ev).union(*(p["tau_v"] for p in procs)))
+        est = rept_estimate(
+            np.array([[p["tau_v"].get(v, 0) for v in nodes] for p in procs]),
             np.array([ev.get(v, 0) for v in nodes]),
             m,
             c,

@@ -7,6 +7,7 @@ from repro.core.estimators import (
     graybill_deal,
     local_nrmse,
     nrmse,
+    rept_estimate,
     var_parallel_mascot,
     var_rept,
     var_rept_groups,
@@ -66,6 +67,46 @@ class TestGraybillDeal:
         v1, v2 = 4.0, 6.0
         comb = v1 * v2 / (v1 + v2)
         assert comb < min(v1, v2)
+
+
+class TestReptEstimate:
+    """The paper's estimators at m = 3, written out with hand numbers."""
+
+    def test_c_lt_m_is_algorithm1(self):
+        # τ̂ = (m²/c) Σ τ^(i) = (9/2)(5 + 7)
+        assert rept_estimate([5, 7], 0, 3, 2) == {"tau_hat": 54.0}
+
+    def test_c_eq_m_is_algorithm1(self):
+        # τ̂ = (m²/c) Σ τ^(i) = (9/3)(5 + 7 + 4)
+        assert rept_estimate([5, 7, 4], 0, 3, 3) == {"tau_hat": 48.0}
+
+    def test_c_multiple_of_m_averages_the_groups(self):
+        # c1 = 2 full groups, no leftover: τ̂ = (m/c1) Σ τ^(i) = (3/2)·21
+        assert rept_estimate([1, 2, 3, 4, 5, 6], 99, 3, 6) == {"tau_hat": 31.5}
+
+    def test_leftover_group_combined_by_graybill_deal(self):
+        # c = 2m + 1: c1 = 2, c2 = 1, Σ η^(i) = 10.
+        got = rept_estimate([1, 2, 3, 4, 5, 6, 8], 10, 3, 7)
+        tau1 = 3 / 2 * 21  # (m/c1) Σ over the full groups = 31.5
+        tau2 = 9 / 1 * 8  # (m²/c2) τ of the leftover processor = 72
+        eta_hat = 27 / 7 * 10  # (m³/c) Σ η^(i)
+        w1 = tau1 * 2 / 2  # τ̂(1)(m − 1)/c1 = 31.5
+        # (τ̂(1)(m² − c2) + 2η̂(m − c2))/c2 = 2844/7
+        w2 = (tau1 * 8 + 2 * eta_hat * 2) / 1
+        assert got["tau1"] == 31.5 and got["tau2"] == 72.0
+        assert got["eta_hat"] == pytest.approx(270 / 7)
+        assert w2 == pytest.approx(2844 / 7)
+        # (w2 τ̂(1) + w1 τ̂(2)) / (w1 + w2) = (12798 + 2268) / (3064.5 / 7)
+        assert got["tau_hat"] == pytest.approx((w2 * tau1 + w1 * tau2) / (w1 + w2))
+        assert got["tau_hat"] == pytest.approx(105462 / 3064.5)
+
+    def test_further_axes_carry_through(self):
+        # Two runs (or nodes) on the second axis, each estimated alone.
+        tau = np.array([[1, 8], [2, 7], [3, 6], [4, 5], [5, 4], [6, 3], [8, 2]])
+        got = rept_estimate(tau, np.array([10, 3]), 3, 7)
+        for j in range(2):
+            one = rept_estimate(tau[:, j].tolist(), [10, 3][j], 3, 7)
+            assert {k: x[j] for k, x in got.items()} == one
 
 
 class TestNRMSE:

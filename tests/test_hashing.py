@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hashing import bucket, derive, edge_key, mix_seeds, splitmix64, uniform01
+from repro.core.hashing import (
+    bucket, derive, edge_key, mix_seeds, rept_groups, splitmix64, uniform01,
+)
 
 
 class TestSplitmix:
@@ -23,6 +25,14 @@ class TestSplitmix:
     def test_scalar_and_array_agree(self):
         arr = splitmix64(np.array([42, 43]))
         assert splitmix64(42)[()] == arr[0]
+
+    @pytest.mark.parametrize(
+        "fn", [splitmix64, lambda x: derive(x, 5)], ids=["splitmix64", "derive"]
+    )
+    def test_list_and_uint64_array_agree(self, fn):
+        # A list of ints >= 2^63 must not go through float64.
+        x = [0, 2**63 - 1, 2**63, 2**64 - 1]
+        assert fn(x).tolist() == fn(np.array(x, dtype=np.uint64)).tolist()
 
     def test_avalanche_bitflip(self):
         # Flipping one input bit flips ~half the output bits on average.
@@ -116,3 +126,24 @@ class TestDeriveAndMix:
     def test_mix_seeds_range(self):
         s = mix_seeds(123, 456)
         assert 0 <= s < 2**64
+
+
+class TestReptGroups:
+    @pytest.mark.parametrize("m,c", [(1, 1), (3, 1), (3, 2), (3, 3), (10, 4)])
+    def test_algorithm1_is_one_group_under_the_run_seed(self, m, c):
+        assert rept_groups(m, c, 7) == [(7, c)]
+
+    def test_algorithm2_seeds_are_pinned(self):
+        # Literals of the per-group seeds every committed Algorithm 2
+        # result was computed with: a plan change must not move them.
+        g = [12294501584986701981, 17908237141880928156, 13696218653876192031]
+        assert rept_groups(3, 7, 7) == [(g[0], 3), (g[1], 3), (g[2], 1)]
+        assert rept_groups(3, 6, 7) == [(g[0], 3), (g[1], 3)]
+        assert rept_groups(2, 5, 2**64 - 1) == [
+            (8986781451786984705, 2), (14666076619991609253, 2), (455839091748387030, 1)
+        ]
+
+    @pytest.mark.parametrize("m,c", [(0, 1), (3, 0), (3, -1), (-1, 4)])
+    def test_rejects_bad_m_c(self, m, c):
+        with pytest.raises(ValueError, match="need m >= 1 and c >= 1"):
+            rept_groups(m, c, 7)

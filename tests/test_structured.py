@@ -1,14 +1,16 @@
 """Structured Streaming REPT equals the sequential processor exactly."""
 import os
+import pickle
 import shutil
 
 import pytest
 from pyspark.errors import StreamingQueryException
 from pyspark.sql.streaming import DataStreamWriter
 
+from repro.core.estimators import rept_estimate
 from repro.core.structured import rept_structured_counts, write_stream_files
 from repro.graphs.datasets import load_stream, stream_pdf
-from repro.stream.rept import rept_processor
+from repro.stream.rept import ProcessorState, rept_processor, rept_run
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +75,39 @@ def test_multi_batch_ordered(spark, small, tmp_path):
     assert res["tau"].tolist() == _expected(small, m, c, seed)
 
 
-def test_rejects_c_gt_m(spark, small, tmp_path):
-    with pytest.raises(ValueError):
-        rept_structured_counts(
-            spark, str(tmp_path / "in"), 2, 5, 1, str(tmp_path / "ckpt")
-        )
+@pytest.mark.parametrize("n_files", [1, 3])
+@pytest.mark.parametrize("m,c", [(2, 5), (3, 6)])
+def test_c_gt_m_equals_rept_run(spark, small, tmp_path, m, c, n_files):
+    """Algorithm 2 in one query: every group's processors, η included."""
+    seed = 13
+    write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=n_files)
+    res = rept_structured_counts(
+        spark, str(tmp_path / "in"), m, c, seed, str(tmp_path / "ckpt"),
+        max_files_per_trigger=1,
+    )
+    run = rept_run(small, m, c, seed)
+    assert res["proc"].tolist() == list(range(c))
+    assert res["tau"].tolist() == [p["tau"] for p in run["procs"]]
+    assert res["eta"].tolist() == [p["eta"] for p in run["procs"]]
+    assert res["eta"].sum() > 0
+    got = rept_estimate(res["tau"], res["eta"].sum(), m, c)
+    assert got["tau_hat"] == run["tau_hat"]
+
+
+def test_snapshot_layout_c_le_m(spark, small, tmp_path):
+    """A checkpoint keeps one flat list of c states and (m, c, seed), so
+    snapshots written before Algorithm 2 ran in the sink still resume."""
+    m, c, seed = 3, 2, 5
+    write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=2)
+    res = _run(spark, tmp_path, m, c, seed)
+    snaps = sorted((tmp_path / "ckpt" / "rept").glob("*.pkl"))
+    with open(snaps[-1], "rb") as f:
+        state = pickle.load(f)
+    assert sorted(state) == ["procs", "settings", "t_max"]
+    assert state["settings"] == (m, c, seed)
+    assert [type(p) for p in state["procs"]] == [ProcessorState] * c
+    assert [p.tau for p in state["procs"]] == res
+    assert all(p.eta == 0 and not p.tau_edge for p in state["procs"])
 
 
 @pytest.mark.parametrize("m,c", [(0, 1), (4, 0), (4, -1)], ids=["m<1", "c<1", "c<0"])
@@ -139,17 +169,26 @@ def _stage(small, tmp_path):
 
 
 def test_restart_and_replay(spark, small, tmp_path):
-    m, c, seed = 3, 2, 5
-    expected = _expected(small, m, c, seed)
-    third = _stage(small, tmp_path)
-    _run(spark, tmp_path, m, c, seed)
-    shutil.move(third, tmp_path / "in")
-    assert _run(spark, tmp_path, m, c, seed) == expected
-    commits = tmp_path / "ckpt" / "commits"
-    os.remove(commits / "2")
-    os.remove(commits / ".2.crc")
-    assert _run(spark, tmp_path, m, c, seed) == expected
-    assert (commits / "2").exists()  # Spark ran batch 2 again
+    # Algorithm 1, then Algorithm 2 (c > m, with a leftover group).
+    for m, c, seed in [(3, 2, 5), (2, 5, 5)]:
+        d = tmp_path / f"m{m}c{c}"
+
+        def counts():
+            res = rept_structured_counts(
+                spark, str(d / "in"), m, c, seed, str(d / "ckpt"), max_files_per_trigger=1
+            )
+            return list(zip(res["tau"], res["eta"]))
+
+        expected = [(p["tau"], p["eta"]) for p in rept_run(small, m, c, seed)["procs"]]
+        third = _stage(small, d)
+        counts()
+        shutil.move(third, d / "in")
+        assert counts() == expected
+        commits = d / "ckpt" / "commits"
+        os.remove(commits / "2")
+        os.remove(commits / ".2.crc")
+        assert counts() == expected
+        assert (commits / "2").exists()  # Spark ran batch 2 again
 
 
 @pytest.mark.parametrize("delta", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], ids=["m", "c", "seed"])
