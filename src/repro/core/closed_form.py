@@ -110,20 +110,15 @@ def rept_global_runs(
 
 def rept_local_runs(
     spark: SparkSession, tables: TriangleTables, m: int, c: int, seeds: list[int]
-) -> pd.DataFrame:
-    """Local REPT estimates as sparse pandas ``(run, v, est)``, one row
-    per node with a semi-triangle in the run — the (run, node) pairs
-    absent from the output are estimates of 0."""
+) -> np.ndarray:
+    """Local REPT estimates τ̂_v as a float array of runs (one per seed)
+    × ``tables.index.nodes``: 0 where a run has no semi-triangle. The
+    runs are counted one at a time, so only one run's τ_v^(i) is held."""
     _check(seeds)
-    frames = []
-    for run, seed in enumerate(seeds):
-        tau_v, eta_sum = _rept_counts(tables, m, c, seed, local=True)
-        est = rept_estimate(tau_v, eta_sum, m, c)["tau_hat"]
-        hit = np.flatnonzero(tau_v.sum(axis=0))
-        frames.append(
-            pd.DataFrame({"run": run, "v": tables.index.nodes[hit], "est": est[hit]})
-        )
-    return pd.concat(frames, ignore_index=True)
+    return np.stack([
+        rept_estimate(*_rept_counts(tables, m, c, seed, local=True), m, c)["tau_hat"]
+        for seed in seeds
+    ])
 
 
 #: ``_BITS[b, i]`` is bit i of the byte value b.

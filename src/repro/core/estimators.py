@@ -2,13 +2,12 @@
 
 Variance formulas (paper §III), REPT's estimate from its processor
 counts (Algorithm 1, and the Graybill–Deal combination of Algorithm 2),
-and NRMSE (paper §IV-C) — including the local-count variant where a run
-that sampled nothing at a node contributes an estimate of 0.
+and NRMSE (paper §IV-C) — including the local-count variant over a
+runs × nodes array, where a run that sampled nothing at a node holds 0.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 
 def var_rept(tau: float, eta: float, m: int, c: int) -> float:
@@ -81,30 +80,26 @@ def nrmse(estimates, truth: float) -> float:
     return float(np.sqrt(np.mean((est - truth) ** 2)) / truth)
 
 
-def local_nrmse(
-    sparse_estimates: pd.DataFrame, exact_local: pd.DataFrame, n_runs: int
-) -> float:
-    """Mean NRMSE of local triangle counts over nodes with τ_v > 0.
+def local_nrmse(estimates, tau_v) -> float:
+    """Mean NRMSE of local triangle counts over the nodes with τ_v > 0.
 
-    ``sparse_estimates``: pandas ``(run, v, est)`` containing only the
-    (run, node) pairs where the estimator produced a nonzero value; the
-    remaining ``n_runs − count`` runs of each node are estimates of 0.
-    ``exact_local``: pandas ``(v, tau_v)`` for all nodes with τ_v > 0.
-    Raises ``ValueError`` if it has no node or ``n_runs`` < 1.
+    ``estimates``: runs × nodes, 0 where a run sampled nothing at a
+    node; ``tau_v``: the exact counts of the same nodes. Nodes with
+    τ_v = 0 are ignored. Raises ``ValueError`` unless ``estimates`` is
+    2-D over ``tau_v``'s nodes, with a run and a node with τ_v > 0.
     """
-    if exact_local.empty:
-        raise ValueError("local NRMSE undefined without a node with tau_v > 0")
-    if n_runs < 1:
-        raise ValueError(f"local NRMSE needs n_runs >= 1, got {n_runs}")
-    truth = exact_local.set_index("v")["tau_v"].astype("float64")
-    if sparse_estimates.empty:
-        per_node_mse = truth**2
-    else:
-        est = sparse_estimates.merge(
-            truth.rename("tau_v"), left_on="v", right_index=True, how="inner"
+    est = np.asarray(estimates, dtype=np.float64)
+    tau_v = np.asarray(tau_v)
+    if est.ndim != 2 or tau_v.ndim != 1 or est.shape[1] != len(tau_v):
+        raise ValueError(
+            f"local NRMSE needs runs x nodes estimates over the 1-D tau_v, "
+            f"got shapes {est.shape} and {tau_v.shape}"
         )
-        est["sq"] = (est["est"] - est["tau_v"]) ** 2
-        g = est.groupby("v").agg(sq=("sq", "sum"), cnt=("run", "count"))
-        g = g.reindex(truth.index, fill_value=0)
-        per_node_mse = (g["sq"] + (n_runs - g["cnt"]) * truth**2) / n_runs
+    if len(est) == 0:
+        raise ValueError("local NRMSE undefined without a run")
+    hit = tau_v > 0
+    if not hit.any():
+        raise ValueError("local NRMSE undefined without a node with tau_v > 0")
+    truth = tau_v[hit].astype(np.float64)
+    per_node_mse = ((est[:, hit] - truth) ** 2).mean(axis=0)
     return float((np.sqrt(per_node_mse) / truth).mean())

@@ -37,7 +37,7 @@ def profile_datasets(requested: list[str] | None = None) -> list[str]:
 def get_tables(
     spark: SparkSession, name: str, scale: float = 1.0, seed: int = 7
 ) -> TriangleTables:
-    """Memoized triangle tables (persisted DataFrames + exact τ, η)."""
+    """Memoized triangle tables (triangle index + exact τ, η)."""
     key = (name, scale, seed)
     if key not in _TABLES_CACHE:
         _TABLES_CACHE[key] = build_tables(spark, load_stream(name, scale, seed))

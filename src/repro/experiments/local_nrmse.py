@@ -2,10 +2,12 @@
 
 REPT vs parallel MASCOT and Trièst (the paper omits GPS here). The
 metric is the mean over nodes with τ_v > 0 of per-node NRMSE across
-runs, with absent (run, node) estimates counted as 0 — see
-:func:`repro.core.estimators.local_nrmse`.
+runs, each method's runs being one runs × nodes array that holds 0
+where a run sampled nothing — see :func:`repro.core.estimators.local_nrmse`.
 """
 from __future__ import annotations
+
+from functools import partial
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -40,47 +42,43 @@ def run_local_nrmse(
     rows = []
     for name in profile_datasets(datasets):
         t = get_tables(spark, name, scale, seed)
-        exact = local_counts(t.index)
+        tau_v = local_counts(t.index)
         base = dataset_seed(seed, name, p_inv, 99)
         budget, _ = baseline_budgets(p, t.stream.n_edges)
 
-        mascot_pool = None
+        # Each method's local estimates at c, as runs × t.index.nodes.
+        local_runs = {}
+        if "rept" in methods:
+            local_runs["rept"] = lambda c: rept_local_runs(
+                spark, t, m, c, [mix_seeds(base, 4, c, i) for i in range(r_rept)]
+            )
         if "mascot" in methods:
             # MASCOT trials are cheap (closed form) — use a 2× pool.
             seeds = [mix_seeds(base, 1, i) for i in range(2 * r_pool * c_max)]
             trials = mascot_local_trial_counts(spark, t, p, seeds)
             trials["est"] = trials["cnt"] / (p * p)
-            mascot_pool = (trials, len(seeds))
-        triest_pool = None
+            local_runs["mascot"] = partial(
+                pooled_parallel_local, trials, n_trials=len(seeds), nodes=t.index.nodes
+            )
         if "triest" in methods:
             specs = [
                 {"method": "triest", "budget": budget, "seed": mix_seeds(base, 2, i)}
                 for i in range(r_pool * c_max)
             ]
-            triest_pool = (
+            local_runs["triest"] = partial(
+                pooled_parallel_local,
                 run_stream_trials(spark, t.stream, specs, track_local=True),
-                len(specs),
+                n_trials=len(specs), nodes=t.index.nodes,
             )
 
         for c in c_list:
-            if "rept" in methods:
-                seeds = [mix_seeds(base, 4, c, i) for i in range(r_rept)]
-                sparse = rept_local_runs(spark, t, m, c, seeds)
+            # Keyed, not unpacked: a loop variable bound to the last
+            # partial would keep its pool alive into the next dataset.
+            for meth in local_runs:
+                est = local_runs[meth](c)
                 rows.append(
-                    {"graph": name, "method": "rept", "p": p, "c": c,
-                     "nrmse": local_nrmse(sparse, exact, r_rept), "n_estimates": r_rept}
-                )
-            if mascot_pool is not None:
-                sparse, n_runs = pooled_parallel_local(mascot_pool[0], c, mascot_pool[1])
-                rows.append(
-                    {"graph": name, "method": "mascot", "p": p, "c": c,
-                     "nrmse": local_nrmse(sparse, exact, n_runs), "n_estimates": n_runs}
-                )
-            if triest_pool is not None:
-                sparse, n_runs = pooled_parallel_local(triest_pool[0], c, triest_pool[1])
-                rows.append(
-                    {"graph": name, "method": "triest", "p": p, "c": c,
-                     "nrmse": local_nrmse(sparse, exact, n_runs), "n_estimates": n_runs}
+                    {"graph": name, "method": meth, "p": p, "c": c,
+                     "nrmse": local_nrmse(est, tau_v), "n_estimates": len(est)}
                 )
     out = pd.DataFrame(rows)
     save_result(out, f"local_nrmse_pinv{p_inv}")

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -224,9 +223,7 @@ def build_tables(spark: SparkSession, stream: Stream) -> TriangleTables:
     return TriangleTables(spark, stream, len(pos), eta, TriangleIndex.of(stream, pos, verts))
 
 
-def local_counts(index: TriangleIndex) -> pd.DataFrame:
-    """Exact local triangle counts as pandas ``(v, tau_v)``, one row per
-    node with τ_v > 0, in node order. Starts no Spark job."""
-    tau_v = np.bincount(index.verts.ravel(), minlength=len(index.nodes))
-    hit = np.flatnonzero(tau_v)
-    return pd.DataFrame({"v": index.nodes[hit], "tau_v": tau_v[hit]})
+def local_counts(index: TriangleIndex) -> np.ndarray:
+    """Exact local triangle counts τ_v as one int vector over
+    ``index.nodes`` (0 at a node in no triangle). Starts no Spark job."""
+    return np.bincount(index.verts.ravel(), minlength=len(index.nodes))

@@ -15,7 +15,7 @@ Trial specs are dicts:
 * ``{"method": "rept", "m", "proc", "seed", "track_eta"?}``
 * ``{"method": "mascot", "p", "seed"}``
 * ``{"method": "triest", "budget", "seed"}``
-* ``{"method": "gps", "budget", "seed", "alpha"?}``
+* ``{"method": "gps", "budget", "seed"}``
 
 Output rows: ``(trial, v, est, eta, n_sampled, elapsed)`` where
 ``v = −1`` carries the trial's global value (REPT: raw τ^(i)/η^(i);
@@ -85,10 +85,7 @@ def _run_one(stream: Stream, spec: dict, track_local: bool) -> tuple[dict, dict,
     elif method == "triest":
         r = triest_processor(stream, spec["budget"], spec["seed"], track_local=track_local)
     else:
-        r = gps_processor(
-            stream, spec["budget"], spec["seed"],
-            alpha=spec.get("alpha", 9.0), track_local=track_local,
-        )
+        r = gps_processor(stream, spec["budget"], spec["seed"], track_local=track_local)
     return (
         {"est": float(r["tau_hat"]), "eta": 0.0,
          "n_sampled": r["n_sampled"], "elapsed": r["elapsed"]},
@@ -106,7 +103,7 @@ def run_stream_trials(
     returns the concatenated output rows (see module docstring) as
     pandas. Raises ``ValueError`` for a bad spec before any job starts."""
     if not specs:
-        return pd.DataFrame(columns=_COLUMNS)
+        return pd.DataFrame(columns=_COLUMNS).astype(_DTYPES)
     for spec in specs:
         _check_spec(spec)
     sc = spark.sparkContext
@@ -160,19 +157,17 @@ def pooled_parallel_estimates(trial_estimates: np.ndarray, c: int) -> np.ndarray
 
 
 def pooled_parallel_local(
-    trials: pd.DataFrame, c: int, n_trials: int
-) -> tuple[pd.DataFrame, int]:
-    """Parallel-c local estimates from pooled per-trial sparse locals:
-    run = trial // c, est = (Σ member estimates)/c (absent = 0).
-    Returns (sparse pandas ``run, v, est``, n_runs)."""
+    trials: pd.DataFrame, c: int, n_trials: int, nodes: np.ndarray
+) -> np.ndarray:
+    """Parallel-c local estimates from a pool's sparse per-trial rows
+    ``(trial, v, est)``: run r is the mean of trials rc … rc + c − 1, a
+    trial with no row at a node adding 0. Trials past ⌊n_trials/c⌋·c are
+    ignored. Returns a float array of runs × ``nodes`` (sorted ids)."""
     _check_c(c)
     n_runs = n_trials // c
     if n_runs == 0:
         raise ValueError(f"need at least c={c} trials")
-    loc = trials[(trials["v"] >= 0) & (trials["trial"] < n_runs * c)].copy()
-    if loc.empty:
-        return pd.DataFrame(columns=["run", "v", "est"]), n_runs
-    loc["run"] = loc["trial"] // c
-    out = loc.groupby(["run", "v"], as_index=False)["est"].sum()
-    out["est"] = out["est"] / c
-    return out[["run", "v", "est"]], n_runs
+    loc = trials[(trials["v"] >= 0) & (trials["trial"] < n_runs * c)]
+    cells = loc["trial"].to_numpy() // c * len(nodes) + np.searchsorted(nodes, loc["v"].to_numpy())
+    sums = np.bincount(cells, weights=loc["est"].to_numpy(), minlength=n_runs * len(nodes))
+    return sums.reshape(n_runs, len(nodes)) / c

@@ -30,7 +30,6 @@ def gps_processor(
     stream: Stream,
     budget: int,
     seed: int,
-    alpha: float = 9.0,
     track_local: bool = False,
 ) -> dict:
     """One GPS-lite trial with sample-size ``budget``."""
@@ -65,7 +64,7 @@ def gps_processor(
                     tau_v[a] = tau_v.get(a, 0.0) + inc
                     tau_v[b] = tau_v.get(b, 0.0) + inc
                     tau_v[w] = tau_v.get(w, 0.0) + inc
-        wgt = 1.0 + alpha * n_common
+        wgt = 1.0 + 9.0 * n_common
         rank = wgt / max(uj, 1e-300)
         if len(heap) < budget:
             heapq.heappush(heap, (rank, a, b))

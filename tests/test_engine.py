@@ -1,5 +1,6 @@
 """Tests for the Spark-parallel streaming trial driver."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.stream.engine import (
@@ -30,6 +31,9 @@ def test_all_trials_returned(spark, yt):
 def test_empty_specs(spark, yt):
     out = run_stream_trials(spark, yt, [])
     assert out.empty
+    assert out.dtypes.astype(str).tolist() == [
+        "int64", "int64", "float64", "float64", "int64", "float64"
+    ]
 
 
 def test_one_job_one_task_per_core(spark, yt, job_group):
@@ -184,14 +188,35 @@ def test_pooled_parallel_estimates():
 def test_pooled_parallel_local(spark, yt):
     specs = [{"method": "mascot", "p": 0.5, "seed": i} for i in range(4)]
     out = run_stream_trials(spark, yt, specs, track_local=True)
-    sparse, n_runs = pooled_parallel_local(out, 2, 4)
-    assert n_runs == 2
+    nodes = np.unique(np.concatenate([yt.u, yt.v]))
+    est = pooled_parallel_local(out, 2, 4, nodes)
+    assert est.shape == (2, len(nodes))
     for c in (0, -1):
         with pytest.raises(ValueError, match="need c >= 1"):
-            pooled_parallel_local(out, c, 2)
-    # spot-check one aggregated value
-    direct = [mascot_processor(yt, 0.5, i, track_local=True)["tau_v_hat"] for i in range(2)]
-    v = sparse["v"].iloc[0]
-    run0 = sparse[(sparse["run"] == 0) & (sparse["v"] == v)]["est"].iloc[0]
-    want = (direct[0].get(v, 0.0) + direct[1].get(v, 0.0)) / 2
-    assert run0 == want
+            pooled_parallel_local(out, c, 2, nodes)
+    # run r is the mean of trials 2r and 2r + 1, absent nodes adding 0
+    direct = [mascot_processor(yt, 0.5, i, track_local=True)["tau_v_hat"] for i in range(4)]
+    want = [
+        [(direct[2 * r].get(v, 0.0) + direct[2 * r + 1].get(v, 0.0)) / 2 for v in nodes.tolist()]
+        for r in range(2)
+    ]
+    assert est.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "trial,v,est,c,n_trials,nodes,want",
+    [
+        # node 7 is held by trial 1 only: est/c; the v = -1 row is global
+        ([0, 0, 1, 1], [-1, 5, 5, 7], [99.0, 6.0, 2.0, 3.0], 2, 2, [5, 7, 9], [[4.0, 1.5, 0.0]]),
+        # 5 trials at c = 2 give 2 runs; trial 4 is left out
+        ([0, 2, 3, 4], [5, 5, 5, 5], [2.0, 4.0, 6.0, 100.0], 2, 5, [5], [[1.0], [5.0]]),
+        ([0, 1, 2], [-1, -1, -1], [1.0, 2.0, 3.0], 3, 3, [5, 7], [[0.0, 0.0]]),
+        ([], [], [], 2, 4, [5], [[0.0], [0.0]]),
+    ],
+    ids=["one-trial-at-a-node", "trials-past-last-run", "global-rows-only", "empty-pool"],
+)
+def test_pooled_parallel_local_rows(trial, v, est, c, n_trials, nodes, want):
+    trials = pd.DataFrame({"trial": trial, "v": v, "est": est}).astype(
+        {"trial": "int64", "v": "int64", "est": "float64"}
+    )
+    assert pooled_parallel_local(trials, c, n_trials, np.array(nodes)).tolist() == want

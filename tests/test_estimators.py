@@ -1,6 +1,5 @@
 """Unit tests for the estimator math and error metrics."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.core.estimators import (
@@ -125,47 +124,48 @@ class TestNRMSE:
 
 
 class TestLocalNRMSE:
-    def _exact(self):
-        return pd.DataFrame({"v": [1, 2], "tau_v": [10, 4]})
+    TAU_V = np.array([10, 4])
 
     def test_perfect(self):
-        est = pd.DataFrame(
-            {"run": [0, 0, 1, 1], "v": [1, 2, 1, 2], "est": [10.0, 4.0, 10.0, 4.0]}
-        )
-        assert local_nrmse(est, self._exact(), n_runs=2) == 0.0
+        est = np.array([[10.0, 4.0], [10.0, 4.0]])
+        assert local_nrmse(est, self.TAU_V) == 0.0
 
     def test_missing_runs_count_as_zero(self):
-        est = pd.DataFrame({"run": [0], "v": [1], "est": [10.0]})
+        est = np.array([[10.0, 0.0], [0.0, 0.0]])
         # node 1: runs (10, 0) → rmse sqrt(50)/10; node 2: always 0 → 1.0
-        got = local_nrmse(est, self._exact(), n_runs=2)
+        got = local_nrmse(est, self.TAU_V)
         assert got == pytest.approx((np.sqrt(50) / 10 + 1.0) / 2)
 
     def test_empty_estimates(self):
-        est = pd.DataFrame(columns=["run", "v", "est"])
-        assert local_nrmse(est, self._exact(), n_runs=3) == pytest.approx(1.0)
+        assert local_nrmse(np.zeros((3, 2)), self.TAU_V) == pytest.approx(1.0)
 
     def test_single_node(self):
-        exact = pd.DataFrame({"v": [5], "tau_v": [2]})
-        est = pd.DataFrame({"run": [0, 1], "v": [5, 5], "est": [1.0, 3.0]})
-        assert local_nrmse(est, exact, n_runs=2) == pytest.approx(0.5)
+        est = np.array([[1.0], [3.0]])
+        assert local_nrmse(est, np.array([2])) == pytest.approx(0.5)
+
+    def test_nodes_without_triangles_ignored(self):
+        # the middle node has τ_v = 0: its estimates do not enter the mean
+        est = np.array([[10.0, 7.0, 4.0], [10.0, -3.0, 4.0]])
+        assert local_nrmse(est, np.array([10, 0, 4])) == 0.0
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: nrmse([], 10),
-        lambda: local_nrmse(
-            pd.DataFrame(columns=["run", "v", "est"]),
-            pd.DataFrame(columns=["v", "tau_v"]),
-            n_runs=2,
-        ),
-        lambda: local_nrmse(
-            pd.DataFrame(columns=["run", "v", "est"]),
-            pd.DataFrame({"v": [1], "tau_v": [3]}),
-            n_runs=0,
-        ),
+        lambda: local_nrmse(np.zeros((2, 0)), np.zeros(0, dtype=np.int64)),
+        lambda: local_nrmse(np.zeros((0, 1)), np.array([3])),
+        lambda: local_nrmse(np.zeros((2, 2)), np.array([0, 0])),
+        lambda: local_nrmse(np.zeros(2), np.array([1, 2])),
+        lambda: local_nrmse(np.zeros((2, 2, 1)), np.array([1, 2])),
+        lambda: local_nrmse(np.zeros((2, 1)), np.array([1, 2])),
+        lambda: local_nrmse(np.zeros((2, 3)), np.array([1, 2])),
     ],
-    ids=["nrmse-no-estimates", "local-no-nodes", "local-zero-runs"],
+    ids=[
+        "nrmse-no-estimates", "local-no-nodes", "local-zero-runs", "local-all-tau-v-zero",
+        "local-1d-estimates", "local-3d-estimates", "local-one-column-for-two-nodes",
+        "local-node-axis-mismatch",
+    ],
 )
 def test_undefined_input_raises_instead_of_nan(call):
     with pytest.raises(ValueError):

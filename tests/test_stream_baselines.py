@@ -75,11 +75,12 @@ class TestMascot:
         p = 0.4
         tc = mascot_local_trial_counts(spark, yt, p, [1, 2])
         tc["est"] = tc["cnt"] / (p * p)
-        sparse, n_runs = pooled_parallel_local(tc, 2, 2)
-        assert n_runs == 1
+        est = pooled_parallel_local(tc, 2, 2, yt.index.nodes)
+        assert est.shape == (1, len(yt.index.nodes))
         merged = tc.groupby("v")["cnt"].sum()
-        for _, row in sparse.iterrows():
-            assert row["est"] == pytest.approx(merged[row["v"]] / (p * p * 2))
+        want = np.zeros(len(yt.index.nodes))
+        want[np.searchsorted(yt.index.nodes, merged.index)] = merged / (p * p * 2)
+        assert est[0] == pytest.approx(want)
 
 
 #: Pool sizes on both sides of the 64-trial word boundaries.

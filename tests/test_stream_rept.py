@@ -60,12 +60,18 @@ def test_kernel_global_matches_stream(setup, spark, m, c):
     assert got == expect
 
 
+def stream_local(t, run) -> list[float]:
+    """``rept_run``'s sparse τ̂_v over ``t.index.nodes``, absent nodes 0."""
+    assert set(run["tau_v_hat"]) <= set(t.index.nodes.tolist())
+    return [run["tau_v_hat"].get(v, 0.0) for v in t.index.nodes.tolist()]
+
+
 @pytest.mark.parametrize("m,c", CASES)
 def test_kernel_local_matches_stream(setup, spark, m, c):
     seed = 4242
     run = rept_run(setup.stream, m, c, seed, track_local=True)
     got = rept_local_runs(spark, setup, m, c, [seed])
-    assert dict(zip(got["v"].tolist(), got["est"].tolist())) == run["tau_v_hat"]
+    assert got.tolist() == [stream_local(setup, run)]
 
 
 @pytest.mark.parametrize("m,c", [(3, 7), (3, 6), (4, 9), (2, 5)])
@@ -90,9 +96,7 @@ class TestAlgorithm2:
     def test_local_matches_stream(self, setup, spark, m, c, seed):
         run = rept_run(setup.stream, m, c, seed, track_local=True)
         got = rept_local_runs(spark, setup, m, c, [seed])
-        kernel = {int(v): e for v, e in zip(got["v"], got["est"]) if e != 0}
-        stream = {v: e for v, e in run["tau_v_hat"].items() if e != 0}
-        assert kernel == stream
+        assert got.tolist() == [stream_local(setup, run)]
 
 
 class TestExactness:
