@@ -4,13 +4,16 @@ Every output is a deterministic function of one hash per edge, evaluated
 with numpy gathers and ``np.bincount`` over the triangle arrays of
 :class:`repro.graphs.exact.TriangleIndex` on the driver, reproducing
 exactly what the sequential simulators in :mod:`repro.stream` output.
-REPT: :func:`processor_counts` evaluates one group of the run's plan
-(:func:`repro.core.hashing.rept_groups`) under its seed; Algorithm 1
-reads τ only, so it skips the η counters.
+REPT: each group of the run's plan
+(:func:`repro.core.hashing.rept_groups`) is counted from one
+semi-triangle index under its seed; Algorithm 1 reads τ only, so it
+skips the η counters.
 MASCOT: a trial is the one processor that holds the edges passing its
-Bernoulli(p) test. Trials are packed 64 to a ``uint64`` word per edge,
-so one gather over the triangle arrays serves 64 trials; a pool of N
-trials yields ``⌊N/c⌋`` parallel-c estimates by chunking.
+Bernoulli(p) test, evaluated as ``derive(k, seed) < T(p)``
+(:func:`repro.core.hashing.uniform01_threshold`) on the open edges
+only. Trials are packed 64 to a ``uint64`` word per open edge, so one
+gather over the triangle arrays serves 64 trials; a pool of N trials
+yields ``⌊N/c⌋`` parallel-c estimates by chunking.
 """
 from __future__ import annotations
 
@@ -19,23 +22,41 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.estimators import rept_estimate
-from repro.core.hashing import bucket, rept_groups, uniform01
+from repro.core.hashing import bucket, derive, rept_groups, uniform01_threshold
 from repro.graphs.exact import TriangleIndex, TriangleTables
 
 
-def _tau_counts(tri: TriangleIndex, buckets: np.ndarray, lim: int, local: bool):
-    """τ^(i) (and, when ``local``, τ_v^(i)) of processors ``0 … lim−1``,
-    with the semi-triangle mask and processor ids they are counted from."""
+def _semi(tri: TriangleIndex, buckets: np.ndarray, lim: int):
+    """The semi-triangles of processors ``0 … lim−1`` under ``buckets``:
+    their indices into the triangle arrays, and their processor ids."""
     t1, t2, _ = tri.pos
     b1 = buckets[t1]
-    semi = (b1 == buckets[t2]) & (b1 < lim)
-    proc = b1[semi]
-    out = {"tau": np.bincount(proc, minlength=lim)}
-    if local:
-        n = len(tri.nodes)
-        cells = (proc * n + tri.verts[:, semi]).ravel()
-        out["tau_v"] = np.bincount(cells, minlength=lim * n).reshape(lim, n)
-    return out, semi, proc
+    semi = np.flatnonzero((b1 == buckets[t2]) & (b1 < lim))
+    return semi, b1[semi]
+
+
+def _tau(tri: TriangleIndex, semi, proc, lim: int, local: bool) -> np.ndarray:
+    """τ^(i) of processors ``0 … lim−1`` from their semi-triangles, or,
+    when ``local``, τ_v^(i) as a ``lim × len(tri.nodes)`` array."""
+    if not local:
+        return np.bincount(proc, minlength=lim)
+    n = len(tri.nodes)
+    # int64 first: a narrow processor id times n would wrap.
+    cells = (proc.astype(np.int64) * n + tri.verts[:, semi]).ravel()
+    return np.bincount(cells, minlength=lim * n).reshape(lim, n)
+
+
+def _eta_g(tri: TriangleIndex, buckets, semi, proc) -> np.ndarray:
+    """η_g = C(x_g, 2) + x_g·y_g per stream edge g. x_g: semi-triangles
+    with g among their first two edges; y_g: those with g last whose
+    first two edges share g's bucket (the pseudocode's τ_(u,v) ← |N_uv|
+    initialization, DESIGN.md §1)."""
+    t1, t2, t3 = tri.pos
+    n_e = len(buckets)
+    x = np.bincount(t1[semi], minlength=n_e) + np.bincount(t2[semi], minlength=n_e)
+    last = t3[semi]
+    y = np.bincount(last[buckets[last] == proc], minlength=n_e)
+    return x * (x - 1) // 2 + x * y
 
 
 def processor_counts(
@@ -47,22 +68,18 @@ def processor_counts(
     Returns τ^(i) and η^(i) as int arrays of length ``lim`` and, when
     ``local``, τ_v^(i) and η_v^(i) as ``lim × len(tri.nodes)`` int arrays.
     """
-    out, semi, proc = _tau_counts(tri, buckets, lim, local)
-    t1, t2, t3 = tri.pos
-    last = t3[semi]
-    n_e = len(buckets)
-    # x_g: semi-triangles with g among their first two edges; y_g: those
-    # with g last whose first two edges share g's bucket (the pseudocode's
-    # τ_(u,v) ← |N_uv| initialization, DESIGN.md §1).
-    x = np.bincount(t1[semi], minlength=n_e) + np.bincount(t2[semi], minlength=n_e)
-    y = np.bincount(last[buckets[last] == proc], minlength=n_e)
-    eta_g = x * (x - 1) // 2 + x * y
+    semi, proc = _semi(tri, buckets, lim)
+    eta_g = _eta_g(tri, buckets, semi, proc)
     # η_g is nonzero only where x_g > 0, so on an edge of a bucket < lim.
-    out["eta"] = np.bincount(buckets, weights=eta_g, minlength=lim)[:lim].astype(np.int64)
+    out = {
+        "tau": _tau(tri, semi, proc, lim, False),
+        "eta": np.bincount(buckets, weights=eta_g, minlength=lim)[:lim].astype(np.int64),
+    }
     if local:
         n = len(tri.nodes)
+        out["tau_v"] = _tau(tri, semi, proc, lim, True)
         g = np.flatnonzero(eta_g)
-        cells = (buckets[g] * n + tri.ends[:, g]).ravel()
+        cells = (buckets[g].astype(np.int64) * n + tri.ends[:, g]).ravel()
         eta_v = np.bincount(cells, weights=np.tile(eta_g[g], 2), minlength=lim * n)
         out["eta_v"] = eta_v.reshape(lim, n).astype(np.int64)
     return out
@@ -80,16 +97,24 @@ def _rept_counts(tables: TriangleTables, m: int, c: int, seed: int, local: bool)
     """τ^(i) of one REPT run's c processors in plan order, stacked on axis
     0, and Σ η^(i) over them (0 for c ≤ m); τ_v^(i) and Σ η_v^(i) when
     ``local``."""
-    tau, eta = ("tau_v", "eta_v") if local else ("tau", "eta")
+    plan = rept_groups(m, c, seed)  # checks (m, c) before the tables are read
+    tri = tables.index
     taus, eta_sum = [], 0
-    for group_seed, lim in rept_groups(m, c, seed):
+    for group_seed, lim in plan:
         buckets = bucket(tables.stream.k, group_seed, m)
-        if c > m:
-            r = processor_counts(tables.index, buckets, lim, local)
-            eta_sum = eta_sum + r[eta].sum(axis=0)
-        else:  # Algorithm 1 reads no η: count τ only.
-            r, _, _ = _tau_counts(tables.index, buckets, lim, local)
-        taus.append(r[tau])
+        semi, proc = _semi(tri, buckets, lim)
+        taus.append(_tau(tri, semi, proc, lim, local))
+        if c <= m:  # Algorithm 1 reads no η.
+            continue
+        # Σ_i η^(i) is Σ_g η_g; Σ_i η_v^(i) adds η_g to both ends of g.
+        eta_g = _eta_g(tri, buckets, semi, proc)
+        if local:
+            g = np.flatnonzero(eta_g)
+            eta_v = np.bincount(tri.ends[:, g].ravel(), weights=np.tile(eta_g[g], 2),
+                                minlength=len(tri.nodes))
+            eta_sum = eta_sum + eta_v.astype(np.int64)
+        else:
+            eta_sum = eta_sum + eta_g.sum()
     return np.concatenate(taus), eta_sum
 
 
@@ -130,21 +155,17 @@ def _held_words(tables: TriangleTables, p: float, seeds: list[int]):
     time: yields ``(start, n, semi, pos)`` where bit j of ``semi`` is set
     when trial ``start + j`` holds both first edges of the triangle at
     ``pos`` (the triangles whose word is nonzero)."""
-    t1, t2, _ = tables.index.pos
     # Only the first two edges of a triangle decide whether it is counted,
-    # so only they are tested: ``at`` maps stream positions to their rows.
-    first = np.zeros(tables.stream.n_edges, dtype=bool)
-    first[t1] = True
-    first[t2] = True
-    key = tables.stream.k[first]
-    at = np.cumsum(first) - 1
-    a1, a2 = at[t1], at[t2]
+    # so only the open edges are tested.
+    key = tables.index.open_keys
+    a1, a2 = tables.index.open_rows
+    cut = np.uint64(uniform01_threshold(p))
     for start in range(0, len(seeds), 64):
         chunk = seeds[start:start + 64]
         w = np.zeros(len(key), dtype=np.uint64)
         for j, seed in enumerate(chunk):
-            # The held test of mascot_processor, for trial start + j.
-            w |= (uniform01(key, seed) < p).astype(np.uint64) << np.uint64(j)
+            # mascot_processor's held test uniform01(key, seed) < p.
+            w |= (derive(key, seed) < cut).astype(np.uint64) << np.uint64(j)
         semi = w[a1] & w[a2]
         pos = np.flatnonzero(semi)
         yield start, len(chunk), semi[pos], pos
@@ -157,9 +178,13 @@ def mascot_trial_estimates(
     _check(seeds, p=p)
     cnt = np.zeros(len(seeds), dtype=np.int64)
     for start, n, semi, _ in _held_words(tables, p, seeds):
-        # Row b of the byte histograms times _BITS counts bits 8b … 8b+7.
+        # Row b of the byte histograms times _BITS counts bits 8b … 8b+7;
+        # bytes past trial n − 1 are all zero and skipped. Each column is
+        # cast to int64 first: bincount's own cast of a strided uint8
+        # column is slower.
         octets = semi.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        hist = np.stack([np.bincount(octets[:, b], minlength=256) for b in range(8)])
+        hist = np.stack([np.bincount(octets[:, b].astype(np.int64), minlength=256)
+                         for b in range(-(-n // 8))])
         cnt[start:start + n] = (hist @ _BITS).ravel()[:n]
     return cnt / (p * p)
 

@@ -6,17 +6,19 @@ Streaming job, so "the same hash seed" means the same
 sampled edge sets everywhere — the property every exact cross-check in
 ``tests/test_stream_rept.py`` relies on.
 
-All functions are vectorized over numpy ``uint64`` arrays and accept
-python ints for convenience.
+The array functions are vectorized over numpy ``uint64`` arrays and
+accept python ints for convenience; the scalar seed mixes
+(:func:`mix_seeds`, the seed half of :func:`derive`) run the same
+finalizer on python ints mod 2^64.
 """
 from __future__ import annotations
 
 import numpy as np
 
 _U = np.uint64
-_GOLDEN = _U(0x9E3779B97F4A7C15)
-_MIX1 = _U(0xBF58476D1CE4E5B9)
-_MIX2 = _U(0x94D049BB133111EB)
+#: SplitMix64's increment and multipliers, and the 64-bit mask.
+_GOLDEN, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK = 0xFFFF_FFFF_FFFF_FFFF
 
 
 def splitmix64(x) -> np.ndarray:
@@ -24,12 +26,19 @@ def splitmix64(x) -> np.ndarray:
 
     Vectorized; integer overflow wraps (mod 2^64) by construction.
     """
-    z = np.array(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z += _GOLDEN
-        z = (z ^ (z >> _U(30))) * _MIX1
-        z = (z ^ (z >> _U(27))) * _MIX2
-        return z ^ (z >> _U(31))
+    return _finalize(np.array(x, dtype=np.uint64))
+
+
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of the ``uint64`` array ``z``, computed in
+    place in ``z``. Array arithmetic wraps mod 2^64 without a warning,
+    unlike numpy scalar arithmetic."""
+    z += _U(_GOLDEN)
+    z ^= z >> _U(30)
+    z *= _U(_MIX1)
+    z ^= z >> _U(27)
+    z *= _U(_MIX2)
+    return z ^ (z >> _U(31))
 
 
 def edge_key(u, v) -> np.ndarray:
@@ -46,12 +55,21 @@ def edge_key(u, v) -> np.ndarray:
     return splitmix64((lo << _U(32)) | hi)
 
 
+def _splitmix64_int(x: int) -> int:
+    """:func:`splitmix64` of one python int in ``[0, 2^64)``, in python
+    int arithmetic (no numpy scalar round trip)."""
+    z = (x + _GOLDEN) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
 def mix_seeds(*parts: int) -> int:
     """Fold integers into one 64-bit seed (for deriving per-group seeds)."""
-    acc = _U(0)
+    acc = 0
     for p in parts:
-        acc = splitmix64(acc ^ _U(int(p) & 0xFFFFFFFFFFFFFFFF))[()]
-    return int(acc)
+        acc = _splitmix64_int(acc ^ (int(p) & _MASK))
+    return acc
 
 
 #: salt of the per-group hash seeds of Algorithm 2.
@@ -75,18 +93,39 @@ def rept_groups(m: int, c: int, seed: int) -> list[tuple[int, int]]:
 
 def derive(key, seed: int) -> np.ndarray:
     """Re-randomize precomputed edge keys under a run seed."""
-    return splitmix64(np.array(key, dtype=np.uint64) ^ splitmix64(_U(int(seed)))[()])
+    z = np.array(key, dtype=np.uint64)
+    z ^= _U(_splitmix64_int(int(seed) & _MASK))
+    return _finalize(z)
 
 
 def bucket(key, seed: int, m: int) -> np.ndarray:
-    """Uniform bucket in ``{0, …, m−1}`` for each edge key under ``seed``.
+    """Uniform bucket in ``{0, …, m−1}`` for each edge key under ``seed``,
+    in the narrowest unsigned dtype that holds m − 1 (``uint8`` for
+    m ≤ 256).
 
     This is the paper's hash ``h(u, v)`` (0-indexed). Modulo bias is
     < m/2^64, irrelevant for m ≤ a few thousand.
     """
-    return (derive(key, seed) % _U(int(m))).astype(np.int64)
+    return (derive(key, seed) % _U(int(m))).astype(np.min_scalar_type(int(m) - 1))
 
 
 def uniform01(key, seed: int) -> np.ndarray:
     """Deterministic Uniform(0,1) per edge key under ``seed``."""
     return derive(key, seed).astype(np.float64) / 18446744073709551616.0
+
+
+def uniform01_threshold(p: float) -> int:
+    """T(p), the smallest 64-bit x with ``float64(x) / 2^64 >= p``, for
+    0 < p ≤ 1: ``uniform01(key, seed) < p`` exactly when
+    ``derive(key, seed) < T(p)``, because the conversion to float64 is
+    monotone (DESIGN.md §2). Python's int-to-float conversion rounds to
+    nearest even, as numpy's ``uint64`` cast does."""
+    target = p * 18446744073709551616.0
+    lo, hi = 0, _MASK  # float(2^64 − 1) rounds up to 2^64 ≥ target
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if float(mid) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

@@ -108,13 +108,20 @@ def _generate(name: str, scale: float, seed: int) -> tuple[np.ndarray, np.ndarra
 
 def _read_cache(path: str) -> tuple[np.ndarray, ...] | None:
     """The arrays ``(t, u, v, k)`` of a cached stream, or None when the
-    file is missing, unreadable or inconsistent (then it is regenerated)."""
+    file is missing, unreadable or inconsistent (then it is regenerated):
+    ``t`` must be ``0 … n−1``, every edge canonical (u < v) and ``k`` its
+    key, as :func:`repro.graphs.exact.build_tables` requires."""
     try:
         with np.load(path) as z:
             t, u, v, k = (z[key] for key in ("t", "u", "v", "k"))
     except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile, zlib.error):
         return None
-    if not len(t) == len(u) == len(v) == len(k) or not np.array_equal(k, edge_key(u, v)):
+    if (
+        not len(t) == len(u) == len(v) == len(k)
+        or not np.array_equal(t, np.arange(len(t)))
+        or np.any(u >= v)
+        or not np.array_equal(k, edge_key(u, v))
+    ):
         return None
     return t, u, v, k
 

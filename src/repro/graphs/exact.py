@@ -116,24 +116,36 @@ class TriangleIndex:
     into the stream arrays) of each triangle's first, middle and last
     edge. ``verts`` (3 × τ): its three vertices, and ``ends`` (2 × |E|):
     each stream edge's endpoints, both as indices into the sorted node
-    ids ``nodes``.
+    ids ``nodes``. ``open_keys``: the keys, in stream order, of the open
+    edges (those that are some triangle's first or middle edge), and
+    ``open_rows`` (2 × τ): rows t1, t2 as indices into ``open_keys``.
+    Every index array is ``int64``: numpy gathers and counts with any
+    other index dtype cast it to ``int64`` first.
     """
 
     pos: np.ndarray
     verts: np.ndarray
     ends: np.ndarray
     nodes: np.ndarray
+    open_keys: np.ndarray
+    open_rows: np.ndarray
 
     @classmethod
     def of(cls, stream: Stream, pos, verts) -> "TriangleIndex":
         """Index triangles given as (τ × 3) arrival-ordered edge positions
         and (τ × 3) vertex ids of ``stream``."""
         nodes = np.unique(np.concatenate([stream.u, stream.v]))
+        pos = np.asarray(pos, dtype=np.int64).reshape(-1, 3).T.copy()
+        is_open = np.zeros(stream.n_edges, dtype=bool)
+        is_open[pos[:2]] = True
+        row = np.cumsum(is_open) - 1
         return cls(
-            np.asarray(pos, dtype=np.int64).reshape(-1, 3).T.copy(),
+            pos,
             np.searchsorted(nodes, np.asarray(verts).reshape(-1, 3).T),
             np.searchsorted(nodes, np.stack([stream.u, stream.v])),
             nodes,
+            stream.k[is_open],
+            row[pos[:2]],
         )
 
 

@@ -56,7 +56,9 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert (s1.u == s2.u).all() and (s1.k == s2.k).all()
 
 
-@pytest.mark.parametrize("damage", ["truncated", "wrong_keys"])
+@pytest.mark.parametrize(
+    "damage", ["truncated", "wrong_keys", "swapped_endpoints", "t_not_arange"]
+)
 def test_bad_cache_is_regenerated(tmp_path, monkeypatch, damage):
     import repro.graphs.datasets as ds
 
@@ -66,8 +68,13 @@ def test_bad_cache_is_regenerated(tmp_path, monkeypatch, damage):
     good = path.read_bytes()
     if damage == "truncated":
         path.write_bytes(good[:-3])
-    else:
+    elif damage == "wrong_keys":
         np.savez_compressed(path, t=s1.t, u=s1.u, v=s1.v, k=s1.k[::-1])
+    elif damage == "swapped_endpoints":
+        # Same keys (edge_key is symmetric), but u > v: not canonical.
+        np.savez_compressed(path, t=s1.t, u=s1.v, v=s1.u, k=s1.k)
+    else:
+        np.savez_compressed(path, t=s1.t[::-1], u=s1.u, v=s1.v, k=s1.k)
     s2 = ds.load_stream("YouTube", scale=0.05, seed=3, cache=True)
     for field in ("t", "u", "v", "k"):
         assert (getattr(s1, field) == getattr(s2, field)).all()

@@ -1,4 +1,6 @@
 """Unit tests for the shared deterministic hashing layer."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,28 @@ from hypothesis import strategies as st
 
 from repro.core.hashing import (
     bucket, derive, edge_key, mix_seeds, rept_groups, splitmix64, uniform01,
+    uniform01_threshold,
 )
+
+MASK = 2**64 - 1
+
+
+def _unsplitmix64(z: int) -> int:
+    """The inverse of ``splitmix64`` on one python int: each xorshift is
+    undone by iterating it, each multiply by the modular inverse."""
+
+    def unshift(y: int, s: int) -> int:
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) & MASK
+    z = unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK
+    z = unshift(z, 30)
+    return (z - 0x9E3779B97F4A7C15) & MASK
 
 
 class TestSplitmix:
@@ -90,6 +113,14 @@ class TestBucket:
         keys = splitmix64(np.arange(100))
         assert (bucket(keys, 5, 7) == bucket(keys, 5, 7)).all()
 
+    @pytest.mark.parametrize(
+        "m, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65537, np.uint32)]
+    )
+    def test_narrowest_dtype(self, m, dtype):
+        b = bucket(splitmix64(np.arange(100)), 3, m)
+        assert b.dtype == dtype
+        assert b.tolist() == (derive(splitmix64(np.arange(100)), 3) % np.uint64(m)).tolist()
+
 
 class TestUniform01:
     def test_range(self):
@@ -106,6 +137,49 @@ class TestUniform01:
         u = uniform01(splitmix64(np.arange(200_000)), seed=4)
         rate = (u < p).mean()
         assert abs(rate - p) < 5 * np.sqrt(p * (1 - p) / 200_000) + 1e-4
+
+
+@pytest.mark.parametrize("p", [1.0, 1 / 2, 1 / 3, 1 / 10, 1 / 100, 1 / 320])
+def test_uniform01_threshold_is_the_float_test(p):
+    """Hashes T(p) − 1, T(p) and T(p) + 1, made by inverting splitmix64:
+    only the first passes uniform01's test ``< p``."""
+    cut, seed = uniform01_threshold(p), 5
+    want = [cut - 1, cut, cut + 1]
+    seed_mix = int(splitmix64(seed))
+    keys = [_unsplitmix64(x) ^ seed_mix for x in want]
+    assert derive(keys, seed).tolist() == want
+    assert (uniform01(keys, seed) < p).tolist() == [True, False, False]
+
+
+class TestScalarMix:
+    """``mix_seeds`` and ``derive``'s seed mix run splitmix64 on python
+    ints; the numpy ``splitmix64`` is the reference."""
+
+    EDGES = [0, 1, 2**63, MASK, -1, -(2**63)]
+
+    @staticmethod
+    def _numpy_mix_seeds(*parts: int) -> int:
+        acc = np.uint64(0)
+        for p in parts:
+            acc = splitmix64(np.array([int(acc) ^ (p & MASK)], dtype=np.uint64))[0]
+        return int(acc)
+
+    @given(st.lists(st.integers(-(2**63), MASK) | st.sampled_from(EDGES), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_mix_seeds_matches_numpy(self, parts):
+        assert mix_seeds(*parts) == self._numpy_mix_seeds(*parts)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_mix_seeds_edge_values(self, n):
+        for parts in itertools.product(self.EDGES, repeat=n):
+            assert mix_seeds(*parts) == self._numpy_mix_seeds(*parts)
+
+    @given(st.integers(-(2**63), MASK) | st.sampled_from(EDGES))
+    @settings(max_examples=300, deadline=None)
+    def test_derive_seed_mix_matches_numpy(self, seed):
+        keys = splitmix64(np.arange(8))
+        seed_mix = splitmix64(np.array([seed & MASK], dtype=np.uint64))[0]
+        assert derive(keys, seed).tolist() == splitmix64(keys ^ seed_mix).tolist()
 
 
 class TestDeriveAndMix:

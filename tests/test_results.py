@@ -1,18 +1,23 @@
 """The paper's shapes, checked on the committed ``results/*.csv``.
 
-Each test reads one committed CSV and writes nothing. The thresholds
-allow for the small run counts behind each cell (EXPERIMENTS.md).
+Each shape test reads one committed CSV and writes nothing. The
+thresholds allow for the small run counts behind each cell
+(EXPERIMENTS.md). The gate at the end recomputes the closed-form rows
+of one analog and requires them to equal the committed ones.
 """
 from pathlib import Path
 
 import pandas as pd
 import pytest
 
+from repro.experiments.global_nrmse import run_global_nrmse
+from repro.experiments.local_nrmse import run_local_nrmse
+
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
-def _read(name: str) -> pd.DataFrame:
-    return pd.read_csv(RESULTS / f"{name}.csv")
+def _read(name: str, **kwargs) -> pd.DataFrame:
+    return pd.read_csv(RESULTS / f"{name}.csv", **kwargs)
 
 
 def test_table2_every_analog_has_triangles():
@@ -49,3 +54,32 @@ def test_fig8_rept_no_slower_than_triest_s():
     )
     assert list(piv.index) == [2, 8, 32]
     assert (piv["rept"] <= piv["triest_s"] + 1e-9).all()
+
+
+# The fig3-fig6 calls of repro.reproduce (small profile), on YouTube only.
+GATE = {
+    "global_nrmse_pinv10": lambda spark, **kw: run_global_nrmse(
+        spark, p_inv=10, c_list=[2, 4, 8, 16, 32], r_rept=100, r_pool=10, **kw),
+    "global_nrmse_pinv100": lambda spark, **kw: run_global_nrmse(
+        spark, p_inv=100, c_list=[20, 80, 320], r_rept=60, r_pool=6, **kw),
+    "local_nrmse_pinv10": lambda spark, **kw: run_local_nrmse(
+        spark, p_inv=10, c_list=[2, 8, 32], r_rept=30, r_pool=5, **kw),
+    "local_nrmse_pinv100": lambda spark, **kw: run_local_nrmse(
+        spark, p_inv=100, c_list=[20, 80, 320], r_rept=20, r_pool=4, **kw),
+}
+
+
+@pytest.mark.parametrize("name", GATE)
+def test_closed_form_rows_equal_committed(spark, name):
+    """REPT and MASCOT rows of the YouTube analog, recomputed into the
+    private results directory, equal the committed CSV bit for bit.
+    ``round_trip`` parsing: pandas' default parser is off by up to a few
+    ulps on these cells."""
+    methods = ("rept", "mascot")
+    got = GATE[name](spark, datasets=["YouTube"], methods=methods)
+    want = _read(name, float_precision="round_trip")
+    want = want[(want["graph"] == "YouTube") & want["method"].isin(methods)]
+    assert len(got) > 0
+    pd.testing.assert_frame_equal(
+        got.reset_index(drop=True), want.reset_index(drop=True), check_exact=True
+    )

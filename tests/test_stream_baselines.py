@@ -17,7 +17,7 @@ def yt(tables_for):
 
 
 class TestMascot:
-    @pytest.mark.parametrize("p", [0.2, 0.5])
+    @pytest.mark.parametrize("p", [0.2, 0.5, 1.0])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_stream_matches_kernel(self, spark, yt, p, seed):
         stream = mascot_processor(yt.stream, p, seed)

@@ -99,6 +99,22 @@ class TestAlgorithm2:
         assert got.tolist() == [stream_local(setup, run)]
 
 
+@pytest.mark.parametrize("c", [250, 305], ids=["alg1", "alg2"])
+def test_wide_buckets_match_stream(spark, c):
+    """m = 300 > 256, so the buckets are uint16, not uint8: the closed
+    form still equals the simulator, for c < m and for c > m (one full
+    group of 300 and a leftover group of 5)."""
+    from repro.graphs.exact import build_tables
+
+    t = build_tables(spark, tiny_stream(n_nodes=30, n_edges=300, seed=1))
+    m, seed = 300, 11
+    assert bucket(t.stream.k, seed, m).dtype == np.uint16
+    run = rept_run(t.stream, m, c, seed, track_local=True)
+    assert run["tau_hat"] > 0
+    assert rept_global_runs(spark, t, m, c, [seed])["tau_hat"].iloc[0] == run["tau_hat"]
+    assert rept_local_runs(spark, t, m, c, [seed]).tolist() == [stream_local(t, run)]
+
+
 class TestExactness:
     """m = 1, c = 1 degenerates to exact counting."""
 
