@@ -18,6 +18,11 @@ memory or else read back, so a restarted query resumes, a replayed batch
 counts once, and resuming under other settings is refused before any
 edge is counted.
 
+The query's own offset, commit and file-source logs go through Spark's
+FileSystem-based checkpoint manager for the length of the call, unless
+the caller set ``spark.sql.streaming.checkpointFileManagerClass``
+(:data:`CHECKPOINT_MANAGER`).
+
 End-of-stream counts equal the sequential simulator at the same
 (m, c, seed) (``tests/test_structured.py``). Batches must arrive in
 stream order: one whose first ``t`` is not after the last ``t`` of the
@@ -36,6 +41,14 @@ from repro.core.hashing import bucket, rept_groups
 from repro.stream.rept import ProcessorState, semi_triangle_pass
 
 EDGE_SCHEMA = "t LONG, a LONG, b LONG, k LONG"
+
+#: Spark's default FileContext manager forks a ``readlink`` process per
+#: checkpoint-file operation when no native Hadoop library is loaded; the
+#: FileSystem-based one writes the same logs through Hadoop's FileSystem API.
+CHECKPOINT_MANAGER_KEY = "spark.sql.streaming.checkpointFileManagerClass"
+CHECKPOINT_MANAGER = (
+    "org.apache.spark.sql.execution.streaming.checkpointing.FileSystemBasedCheckpointFileManager"
+)
 
 
 def write_stream_files(pdf: pd.DataFrame, out_dir: str, n_files: int = 3) -> list[str]:
@@ -136,6 +149,13 @@ def rept_structured_counts(
     if max_files_per_trigger is not None:
         reader = reader.option("maxFilesPerTrigger", max_files_per_trigger)
     writer = reader.parquet(input_dir).writeStream.foreachBatch(_batch).trigger(availableNow=True)
-    writer.option("checkpointLocation", checkpoint_dir).start().awaitTermination()
+    unset = spark.conf.get(CHECKPOINT_MANAGER_KEY, None) is None
+    if unset:
+        spark.conf.set(CHECKPOINT_MANAGER_KEY, CHECKPOINT_MANAGER)
+    try:
+        writer.option("checkpointLocation", checkpoint_dir).start().awaitTermination()
+    finally:
+        if unset:
+            spark.conf.unset(CHECKPOINT_MANAGER_KEY)
     rows = [(i, p.tau, p.eta) for i, p in enumerate(held["procs"])]
     return pd.DataFrame(rows, columns=["proc", "tau", "eta"])

@@ -16,6 +16,8 @@ from __future__ import annotations
 import heapq
 import time
 
+import numpy as np
+
 from repro.core.hashing import uniform01
 from repro.graphs.datasets import Stream
 
@@ -36,52 +38,62 @@ def gps_processor(
     check_gps(budget)
     u01 = uniform01(stream.k, seed)
     adj: dict[int, set[int]] = {}
-    weight: dict[tuple[int, int], float] = {}
+    wt: dict[int, dict[int, float]] = {}  # wt[a][b] = wt[b][a] = w((a, b))
     heap: list[tuple[float, int, int]] = []  # (rank, a, b)
     zstar = 0.0
     tau = 0.0
     tau_v: dict[int, float] = {}
     t0 = time.perf_counter()
-    for a, b, uj in zip(stream.u.tolist(), stream.v.tolist(), u01.tolist()):
-        ka = (a, b) if a < b else (b, a)
+    den = np.maximum(u01, 1e-300)
+    # ``rank`` starts as that of an edge closing nothing, w(e) = 1.
+    edges = zip(stream.u.tolist(), stream.v.tolist(), den.tolist(), (1.0 / den).tolist())
+    for a, b, dj, rank in edges:
+        wgt = 1.0
         na = adj.get(a)
         nb = adj.get(b)
-        n_common = 0
         if na and nb:
             common = na & nb if len(na) <= len(nb) else nb & na
-            n_common = len(common)
-            for w in common:
-                kaw = (a, w) if a < w else (w, a)
-                kbw = (b, w) if b < w else (w, b)
-                if zstar > 0:
-                    qa = min(1.0, weight[kaw] / zstar)
-                    qb = min(1.0, weight[kbw] / zstar)
-                    inc = 1.0 / (qa * qb)
+            if common:
+                if zstar > 0:  # inc = 1/(q(e1) q(e2)), q(e) = min(1, w(e)/z*)
+                    wa, wb = wt[a], wt[b]
+                    incs = []
+                    for w in common:
+                        qa = wa[w] / zstar
+                        qb = wb[w] / zstar
+                        incs.append(1.0 / ((qa if qa < 1.0 else 1.0) * (qb if qb < 1.0 else 1.0)))
                 else:
-                    inc = 1.0
-                tau += inc
+                    incs = [1.0] * len(common)
+                for inc in incs:
+                    tau += inc
                 if track_local:
-                    tau_v[a] = tau_v.get(a, 0.0) + inc
-                    tau_v[b] = tau_v.get(b, 0.0) + inc
-                    tau_v[w] = tau_v.get(w, 0.0) + inc
-        wgt = 1.0 + 9.0 * n_common
-        rank = wgt / max(uj, 1e-300)
+                    for w, inc in zip(common, incs):
+                        tau_v[a] = tau_v.get(a, 0.0) + inc
+                        tau_v[b] = tau_v.get(b, 0.0) + inc
+                        tau_v[w] = tau_v.get(w, 0.0) + inc
+                wgt = 1.0 + 9.0 * len(common)
+                rank = wgt / dj
         if len(heap) < budget:
             heapq.heappush(heap, (rank, a, b))
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-            weight[ka] = wgt
         elif rank > heap[0][0]:
             out_rank, oa, ob = heapq.heapreplace(heap, (rank, a, b))
-            zstar = max(zstar, out_rank)
+            if out_rank > zstar:
+                zstar = out_rank
             adj[oa].discard(ob)
             adj[ob].discard(oa)
-            del weight[(oa, ob) if oa < ob else (ob, oa)]
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-            weight[ka] = wgt
+            del wt[oa][ob], wt[ob][oa]
         else:
-            zstar = max(zstar, rank)
+            if rank > zstar:
+                zstar = rank
+            continue
+        if na is None:
+            na = adj[a] = set()
+            wt[a] = {}
+        if nb is None:
+            nb = adj[b] = set()
+            wt[b] = {}
+        na.add(b)
+        nb.add(a)
+        wt[a][b] = wt[b][a] = wgt
     elapsed = time.perf_counter() - t0
     return {
         "tau_hat": tau,

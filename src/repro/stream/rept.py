@@ -78,8 +78,12 @@ def semi_triangle_pass(
                     tau_edge[kaw] = tuw + 1
                     tau_edge[kbw] = tvw + 1
         if mine:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
+            if na is None:
+                na = adj[a] = set()
+            if nb is None:
+                nb = adj[b] = set()
+            na.add(b)
+            nb.add(a)
             if track_eta:
                 tau_edge[(a, b) if a < b else (b, a)] = n_common
     state.tau, state.eta = tau, eta

@@ -2,8 +2,9 @@
 
 Each shape test reads one committed CSV and writes nothing. The
 thresholds allow for the small run counts behind each cell
-(EXPERIMENTS.md). The gate at the end recomputes the closed-form rows
-of one analog and requires them to equal the committed ones.
+(EXPERIMENTS.md). The gates at the end recompute the closed-form and
+the stream-simulator rows of one analog and require them to equal the
+committed ones.
 """
 from pathlib import Path
 
@@ -69,13 +70,7 @@ GATE = {
 }
 
 
-@pytest.mark.parametrize("name", GATE)
-def test_closed_form_rows_equal_committed(spark, name):
-    """REPT and MASCOT rows of the YouTube analog, recomputed into the
-    private results directory, equal the committed CSV bit for bit.
-    ``round_trip`` parsing: pandas' default parser is off by up to a few
-    ulps on these cells."""
-    methods = ("rept", "mascot")
+def _assert_rows_equal_committed(spark, name: str, methods: tuple[str, ...]) -> None:
     got = GATE[name](spark, datasets=["YouTube"], methods=methods)
     want = _read(name, float_precision="round_trip")
     want = want[(want["graph"] == "YouTube") & want["method"].isin(methods)]
@@ -83,3 +78,19 @@ def test_closed_form_rows_equal_committed(spark, name):
     pd.testing.assert_frame_equal(
         got.reset_index(drop=True), want.reset_index(drop=True), check_exact=True
     )
+
+
+@pytest.mark.parametrize("name", GATE)
+def test_closed_form_rows_equal_committed(spark, name):
+    """REPT and MASCOT rows of the YouTube analog, recomputed into the
+    private results directory, equal the committed CSV bit for bit.
+    ``round_trip`` parsing: pandas' default parser is off by up to a few
+    ulps on these cells."""
+    _assert_rows_equal_committed(spark, name, ("rept", "mascot"))
+
+
+@pytest.mark.parametrize("name", GATE)
+def test_stream_rows_equal_committed(spark, name):
+    """Trièst and GPS rows of the YouTube analog, from the simulators'
+    Spark fan-out, equal the committed CSV bit for bit."""
+    _assert_rows_equal_committed(spark, name, ("triest", "gps"))

@@ -8,7 +8,12 @@ from pyspark.errors import StreamingQueryException
 from pyspark.sql.streaming import DataStreamWriter
 
 from repro.core.estimators import rept_estimate
-from repro.core.structured import rept_structured_counts, write_stream_files
+from repro.core.structured import (
+    CHECKPOINT_MANAGER,
+    CHECKPOINT_MANAGER_KEY,
+    rept_structured_counts,
+    write_stream_files,
+)
 from repro.graphs.datasets import load_stream, stream_pdf
 from repro.stream.rept import ProcessorState, rept_processor, rept_run
 
@@ -22,47 +27,81 @@ def _expected(stream, m, c, seed):
     return [rept_processor(stream, m, i, seed)["tau"] for i in range(c)]
 
 
-def _partitions(spark):
-    return spark.conf.get("spark.sql.shuffle.partitions")
+FILE_CONTEXT_MANAGER = (
+    "org.apache.spark.sql.execution.streaming.checkpointing.FileContextBasedCheckpointFileManager"
+)
 
 
-def test_single_batch(spark, small, tmp_path):
+def _manager(spark):
+    return spark.conf.get(CHECKPOINT_MANAGER_KEY, None)
+
+
+@pytest.fixture
+def managers_at_start(spark, monkeypatch):
+    """The checkpoint manager conf in force as each query starts."""
+    seen = []
+    start = DataStreamWriter.start
+
+    def recording_start(self, *args, **kwargs):
+        seen.append(_manager(spark))
+        return start(self, *args, **kwargs)
+
+    monkeypatch.setattr(DataStreamWriter, "start", recording_start)
+    return seen
+
+
+def test_single_batch(spark, small, tmp_path, managers_at_start):
     m, c, seed = 4, 3, 99
-    before = _partitions(spark)
+    assert _manager(spark) is None
     write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=1)
     res = rept_structured_counts(
         spark, str(tmp_path / "in"), m, c, seed, str(tmp_path / "ckpt")
     )
     assert res["tau"].tolist() == _expected(small, m, c, seed)
-    assert _partitions(spark) == before
+    assert managers_at_start == [CHECKPOINT_MANAGER]
+    assert _manager(spark) is None
 
 
-def test_one_state_partition_per_processor_c_eq_m(spark, small, tmp_path):
+def test_one_state_partition_per_processor_c_eq_m(spark, small, tmp_path, managers_at_start):
     m = c = 3
     seed = 11
-    before = _partitions(spark)
+    assert _manager(spark) is None
     write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=2)
     res = rept_structured_counts(
         spark, str(tmp_path / "in"), m, c, seed, str(tmp_path / "ckpt")
     )
     assert res["tau"].tolist() == _expected(small, m, c, seed)
-    assert _partitions(spark) == before
+    assert managers_at_start == [CHECKPOINT_MANAGER]
+    assert _manager(spark) is None
 
 
 def test_caller_conf_restored_when_start_fails(spark, small, tmp_path, monkeypatch):
     seen = []
 
     def failing_start(self, *args, **kwargs):
-        seen.append(_partitions(spark))
+        seen.append(_manager(spark))
         raise RuntimeError("start failed")
 
     monkeypatch.setattr(DataStreamWriter, "start", failing_start)
-    before = _partitions(spark)
+    assert _manager(spark) is None
     write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=1)
     with pytest.raises(RuntimeError):
         rept_structured_counts(spark, str(tmp_path / "in"), 4, 3, 1, str(tmp_path / "ckpt"))
-    assert seen == [before]
-    assert _partitions(spark) == before
+    assert seen == [CHECKPOINT_MANAGER]
+    assert _manager(spark) is None
+
+
+def test_caller_checkpoint_manager_kept(spark, small, tmp_path, managers_at_start):
+    m, c, seed = 3, 2, 5
+    write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=2)
+    spark.conf.set(CHECKPOINT_MANAGER_KEY, FILE_CONTEXT_MANAGER)
+    try:
+        res = _run(spark, tmp_path, m, c, seed)
+        assert managers_at_start == [FILE_CONTEXT_MANAGER]
+        assert _manager(spark) == FILE_CONTEXT_MANAGER
+    finally:
+        spark.conf.unset(CHECKPOINT_MANAGER_KEY)
+    assert res == _expected(small, m, c, seed)
 
 
 def test_multi_batch_ordered(spark, small, tmp_path):
