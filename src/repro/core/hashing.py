@@ -13,6 +13,8 @@ finalizer on python ints mod 2^64.
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _U = np.uint64
@@ -53,6 +55,17 @@ def edge_key(u, v) -> np.ndarray:
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     return splitmix64((lo << _U(32)) | hi)
+
+
+def is_int(x) -> bool:
+    """True for a python or numpy integer that is not a ``bool``."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def check_seed(seed) -> None:
+    """Raise ``ValueError`` unless ``seed`` is an integer in [0, 2^64)."""
+    if not (is_int(seed) and 0 <= seed <= _MASK):
+        raise ValueError(f"a seed must be an integer in [0, 2^64), got {seed!r}")
 
 
 def _splitmix64_int(x: int) -> int:

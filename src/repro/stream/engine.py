@@ -24,6 +24,8 @@ sparse local values when ``track_local``.
 """
 from __future__ import annotations
 
+import sys
+import zipimport
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -58,13 +60,28 @@ def _check_spec(spec: dict) -> None:
     if missing:
         raise ValueError(f"{method} spec is missing {missing}")
     if method == "rept":
-        check_rept(spec["m"], spec["proc"])
+        check_rept(spec["m"], spec["proc"], spec["seed"])
     elif method == "mascot":
-        check_mascot(spec["p"])
+        check_mascot(spec["p"], spec["seed"])
     elif method == "triest":
-        check_triest(spec["budget"])
+        check_triest(spec["budget"], spec["seed"])
     else:
-        check_gps(spec["budget"])
+        check_gps(spec["budget"], spec["seed"])
+
+
+def _drop_zip_finders() -> None:
+    """Remove the ``zipimporter`` finders from ``sys.path_importer_cache``.
+
+    PySpark's worker calls ``importlib.invalidate_caches()`` before every
+    task, and on CPython 3.11 that makes each cached ``zipimporter`` re-read
+    its archive's whole central directory: one per package the worker
+    imported from ``pyspark.zip``, most of a small task's cost (DESIGN.md
+    §3, §6). The finders are a cache that an import from the zip
+    re-creates, so this runs at the start of every task, not once per
+    worker. Harmless on CPython ≥ 3.12, whose re-read is lazy."""
+    cache = sys.path_importer_cache
+    for path in [p for p, f in cache.items() if isinstance(f, zipimport.zipimporter)]:
+        del cache[path]
 
 
 def _run_one(stream: Stream, spec: dict, track_local: bool) -> tuple[dict, dict, dict]:
@@ -117,6 +134,7 @@ def run_stream_trials(
     )
 
     def _run_slices(part: Iterable[list[tuple[int, dict]]]) -> Iterator[tuple]:
+        _drop_zip_finders()
         d = bc.value
         s = Stream(d["name"], d["t"], d["u"], d["v"], d["k"])
         for chunk in part:

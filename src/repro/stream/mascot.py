@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import time
 
-from repro.core.hashing import uniform01
+from repro.core.hashing import check_seed, uniform01
 from repro.graphs.datasets import Stream
 from repro.stream.rept import ProcessorState, semi_triangle_pass
 
 
-def check_mascot(p: float) -> None:
-    """Raise ``ValueError`` unless ``0 < p <= 1``."""
+def check_mascot(p: float, seed: int) -> None:
+    """Raise ``ValueError`` unless ``0 < p <= 1`` and ``seed`` is an
+    integer in [0, 2^64)."""
     if not 0 < p <= 1:
         raise ValueError(f"mascot needs p in (0, 1], got p={p}")
+    check_seed(seed)
 
 
 def mascot_processor(
@@ -27,7 +29,7 @@ def mascot_processor(
     """One MASCOT trial. Returns the raw semi-triangle count ``cnt``,
     the estimate ``tau_hat = cnt/p²``, sparse local estimates, sample
     size and loop wall time."""
-    check_mascot(p)
+    check_mascot(p, seed)
     sampled = uniform01(stream.k, seed) < p
     state = ProcessorState()
     t0 = time.perf_counter()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.estimators import rept_estimate
-from repro.core.hashing import bucket, rept_groups
+from repro.core.hashing import bucket, check_seed, is_int, rept_groups
 from repro.graphs.datasets import Stream
 
 
@@ -89,10 +89,12 @@ def semi_triangle_pass(
     state.tau, state.eta = tau, eta
 
 
-def check_rept(m: int, proc: int) -> None:
-    """Raise ``ValueError`` unless ``0 <= proc < m``."""
-    if not 0 <= proc < m:
-        raise ValueError(f"rept needs 0 <= proc < m, got proc={proc}, m={m}")
+def check_rept(m: int, proc: int, seed: int) -> None:
+    """Raise ``ValueError`` unless m and proc are integers with
+    ``0 <= proc < m`` and ``seed`` is in [0, 2^64)."""
+    if not (is_int(m) and is_int(proc) and 0 <= proc < m):
+        raise ValueError(f"rept needs integers 0 <= proc < m, got proc={proc!r}, m={m!r}")
+    check_seed(seed)
 
 
 def rept_processor(
@@ -108,7 +110,7 @@ def rept_processor(
     Returns ``tau`` (τ^(i)), ``eta`` (η^(i)), sparse dicts ``tau_v`` /
     ``eta_v``, the number of stored edges, and the loop wall time.
     """
-    check_rept(m, proc)
+    check_rept(m, proc, seed)
     buckets = bucket(stream.k, seed, m)
     state = ProcessorState()
     t0 = time.perf_counter()

@@ -1,9 +1,15 @@
 """Tests for the Spark-parallel streaming trial driver."""
+import importlib
+import sys
+import zipfile
+import zipimport
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.stream.engine import (
+    _drop_zip_finders,
     global_estimates,
     pooled_parallel_estimates,
     pooled_parallel_local,
@@ -139,10 +145,25 @@ def test_unknown_method_raises(spark, yt):
         {"method": "mascot", "p": 1.5, "seed": 1},
         {"method": "triest", "budget": 1, "seed": 1},
         {"method": "gps", "budget": 1, "seed": 1},
+        {"method": "triest", "budget": 3.7, "seed": 1},
+        {"method": "gps", "budget": 2.5, "seed": 1},
+        {"method": "triest", "budget": True, "seed": 1},
+        {"method": "rept", "m": 2.5, "proc": 0, "seed": 1},
+        {"method": "rept", "m": 4, "proc": 1.5, "seed": 1},
+        {"method": "rept", "m": True, "proc": 0, "seed": 1},
+        {"method": "rept", "m": 4, "proc": False, "seed": 1},
+        {"method": "mascot", "p": 0.5, "seed": 1.5},
+        {"method": "triest", "budget": 4, "seed": -1},
+        {"method": "gps", "budget": 4, "seed": 2**64},
+        {"method": "rept", "m": 4, "proc": 0, "seed": True},
+        {"method": "mascot", "p": 0.5, "seed": None},
     ],
     ids=[
         "unknown_method", "no_method", "missing_proc", "missing_p", "m<1",
         "proc>=m", "proc<0", "p=0", "p>1", "triest_budget<2", "gps_budget<2",
+        "triest_budget_float", "gps_budget_float", "triest_budget_bool", "m_float",
+        "proc_float", "m_bool", "proc_bool", "mascot_seed_float", "triest_seed<0",
+        "gps_seed>=2^64", "rept_seed_bool", "mascot_seed_none",
     ],
 )
 def test_bad_spec_rejected_before_any_job(spark, yt, job_group, spec):
@@ -166,15 +187,70 @@ def test_bad_spec_rejected_before_any_job(spark, yt, job_group, spec):
         lambda s: rept_run(s, 4, 0, 1),
         lambda s: rept_run(s, 4, -1, 1),
         lambda s: rept_run(s, 0, 1, 1),
+        lambda s: rept_processor(s, 2.5, 0, 1),
+        lambda s: rept_processor(s, 4, 1.5, 1),
+        lambda s: rept_processor(s, 4, 0, -1),
+        lambda s: mascot_processor(s, 0.5, 1.5),
+        lambda s: mascot_processor(s, 0.5, 2**64),
+        lambda s: triest_processor(s, 3.7, 1),
+        lambda s: triest_processor(s, True, 1),
+        lambda s: triest_processor(s, 4, -1),
+        lambda s: gps_processor(s, 2.5, 1),
+        lambda s: gps_processor(s, 4, 1.0),
     ],
     ids=[
         "m<1", "proc>=m", "proc<0", "p=0", "p<0", "p>1", "triest_budget<2", "gps_budget<2",
-        "rept_run_c=0", "rept_run_c<0", "rept_run_m<1",
+        "rept_run_c=0", "rept_run_c<0", "rept_run_m<1", "m_float", "proc_float",
+        "rept_seed<0", "mascot_seed_float", "mascot_seed>=2^64", "triest_budget_float",
+        "triest_budget_bool", "triest_seed<0", "gps_budget_float", "gps_seed_float",
     ],
 )
 def test_bad_parameters_rejected_by_direct_call(call):
     with pytest.raises(ValueError):
         call(tiny_stream())
+
+
+@pytest.mark.parametrize(
+    "call,args,numpy_args",
+    [
+        (rept_processor, (4, 1, 2**64 - 1), (np.int64(4), np.int64(1), np.uint64(2**64 - 1))),
+        (mascot_processor, (0.5, 2**64 - 1), (0.5, np.uint64(2**64 - 1))),
+        (triest_processor, (5, 0), (np.int64(5), np.int64(0))),
+        (gps_processor, (5, 2**64 - 1), (np.int32(5), 2**64 - 1)),
+    ],
+    ids=["rept", "mascot", "triest", "gps"],
+)
+def test_numpy_and_edge_integers_accepted(call, args, numpy_args):
+    s = tiny_stream()
+    want, got = call(s, *args, track_local=True), call(s, *numpy_args, track_local=True)
+    del want["elapsed"], got["elapsed"]
+    assert got == want
+
+
+def _zip_finders() -> list[str]:
+    return [p for p, f in sys.path_importer_cache.items() if isinstance(f, zipimport.zipimporter)]
+
+
+def test_drop_zip_finders(tmp_path):
+    archive = tmp_path / "mods.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        z.writestr("zipfinder_probe_a.py", "VALUE = 'a'\n")
+        z.writestr("zipfinder_probe_b.py", "VALUE = 'b'\n")
+    saved_path, saved_cache = list(sys.path), dict(sys.path_importer_cache)
+    sys.path.insert(0, str(archive))
+    try:
+        assert importlib.import_module("zipfinder_probe_a").VALUE == "a"
+        assert str(archive) in _zip_finders()
+        _drop_zip_finders()
+        assert _zip_finders() == []
+        # the finder is a cache: the next import from the zip still works
+        assert importlib.import_module("zipfinder_probe_b").VALUE == "b"
+    finally:
+        sys.path[:] = saved_path
+        sys.path_importer_cache.clear()
+        sys.path_importer_cache.update(saved_cache)
+        for name in ("zipfinder_probe_a", "zipfinder_probe_b"):
+            sys.modules.pop(name, None)
 
 
 def test_pooled_parallel_estimates():
