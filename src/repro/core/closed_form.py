@@ -22,7 +22,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.estimators import rept_estimate
-from repro.core.hashing import bucket, derive, rept_groups, uniform01_threshold
+from repro.core.hashing import bucket, check_p, check_seed, derive, rept_groups, uniform01_threshold
 from repro.graphs.exact import TriangleIndex, TriangleTables
 
 
@@ -86,11 +86,13 @@ def processor_counts(
 
 
 def _check(seeds: list[int], p: float = 1.0) -> None:
-    """Reject run parameters the closed forms are undefined for."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    """Reject run parameters the closed forms are undefined for; (m, c)
+    are checked by :func:`rept_groups`."""
+    check_p(p)
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
+    for seed in seeds:
+        check_seed(seed)
 
 
 def _rept_counts(tables: TriangleTables, m: int, c: int, seed: int, local: bool):

@@ -10,6 +10,11 @@ The array functions are vectorized over numpy ``uint64`` arrays and
 accept python ints for convenience; the scalar seed mixes
 (:func:`mix_seeds`, the seed half of :func:`derive`) run the same
 finalizer on python ints mod 2^64.
+
+The run-parameter rules live here too: the ``check_*`` functions, and
+the group plan :func:`rept_groups`, which checks (m, c, seed).
+``derive`` and ``bucket`` take any seed mod 2^64, so every entry point
+applies the rules before it hashes (DESIGN.md §3).
 """
 from __future__ import annotations
 
@@ -68,6 +73,37 @@ def check_seed(seed) -> None:
         raise ValueError(f"a seed must be an integer in [0, 2^64), got {seed!r}")
 
 
+def check_p(p) -> None:
+    """Raise ``ValueError`` unless ``p`` is a real number in (0, 1] and
+    not a ``bool``."""
+    if not (isinstance(p, numbers.Real) and not isinstance(p, bool) and 0 < p <= 1):
+        raise ValueError(f"need p in (0, 1], got p={p!r}")
+
+
+def check_mascot(p, seed) -> None:
+    """Raise ``ValueError`` unless ``p`` and ``seed`` pass
+    :func:`check_p` and :func:`check_seed` (one MASCOT trial)."""
+    check_p(p)
+    check_seed(seed)
+
+
+def check_budget(budget, seed) -> None:
+    """Raise ``ValueError`` unless ``budget`` is an integer of at least 2
+    edges and ``seed`` passes :func:`check_seed` (Trièst and GPS)."""
+    if not (is_int(budget) and budget >= 2):
+        raise ValueError(f"need an integer budget of at least 2 edges, got {budget!r}")
+    check_seed(seed)
+
+
+def check_rept(m, proc, seed) -> None:
+    """Raise ``ValueError`` unless m and proc are integers with
+    ``0 <= proc < m`` and ``seed`` passes :func:`check_seed` (one REPT
+    processor)."""
+    if not (is_int(m) and is_int(proc) and 0 <= proc < m):
+        raise ValueError(f"rept needs integers 0 <= proc < m, got proc={proc!r}, m={m!r}")
+    check_seed(seed)
+
+
 def _splitmix64_int(x: int) -> int:
     """:func:`splitmix64` of one python int in ``[0, 2^64)``, in python
     int arithmetic (no numpy scalar round trip)."""
@@ -94,9 +130,11 @@ def rept_groups(m: int, c: int, seed: int) -> list[tuple[int, int]]:
     processors), …]``; a group's processors hold buckets 0, 1, … of its
     seed. Algorithm 1 (c ≤ m) is ``[(seed, c)]``; Algorithm 2 (c > m) has
     ⌊c/m⌋ groups of m, then one of c mod m if nonzero, each under its own
-    seed. Raises ``ValueError`` unless m ≥ 1 and c ≥ 1."""
-    if m < 1 or c < 1:
-        raise ValueError(f"need m >= 1 and c >= 1, got m={m}, c={c}")
+    seed. Raises ``ValueError`` unless m and c are integers ≥ 1 and
+    ``seed`` passes :func:`check_seed`."""
+    if not (is_int(m) and is_int(c) and m >= 1 and c >= 1):
+        raise ValueError(f"need m >= 1 and c >= 1 as integers, got m={m!r}, c={c!r}")
+    check_seed(seed)
     if c <= m:
         return [(seed, c)]
     c1, c2 = divmod(c, m)

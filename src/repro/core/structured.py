@@ -37,7 +37,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.hashing import bucket, rept_groups
+from repro.core.hashing import bucket, is_int, rept_groups
 from repro.stream.rept import ProcessorState, semi_triangle_pass
 
 EDGE_SCHEMA = "t LONG, a LONG, b LONG, k LONG"
@@ -56,8 +56,8 @@ def write_stream_files(pdf: pd.DataFrame, out_dir: str, n_files: int = 3) -> lis
     ``n_files`` parquet files in arrival order, with increasing mtimes
     so the file source ingests them chronologically. ``out_dir`` must be
     empty or absent: the file source reads every file in it."""
-    if n_files < 1:
-        raise ValueError(f"need n_files >= 1, got {n_files}")
+    if not (is_int(n_files) and n_files >= 1):
+        raise ValueError(f"need n_files >= 1 as an integer, got {n_files!r}")
     os.makedirs(out_dir, exist_ok=True)
     if os.listdir(out_dir):
         raise ValueError(f"{out_dir} already holds files")
@@ -110,8 +110,10 @@ def rept_structured_counts(
     :func:`repro.core.hashing.rept_groups` (η only when c > m, else 0).
     :func:`repro.core.estimators.rept_estimate` turns them into τ̂."""
     plan = rept_groups(m, c, seed)
-    if max_files_per_trigger is not None and max_files_per_trigger < 1:
-        raise ValueError(f"need max_files_per_trigger >= 1, got {max_files_per_trigger}")
+    if not (max_files_per_trigger is None
+            or is_int(max_files_per_trigger) and max_files_per_trigger >= 1):
+        raise ValueError(f"need max_files_per_trigger >= 1 as an integer, "
+                         f"got {max_files_per_trigger!r}")
     state_dir = os.path.join(checkpoint_dir, "rept")
     os.makedirs(state_dir, exist_ok=True)
 

@@ -33,7 +33,6 @@ def run_global_nrmse(
     methods: tuple[str, ...] = DEFAULT_METHODS,
     r_rept: int = 100,
     r_pool: int = 10,
-    r_pool_mascot: int | None = None,
     scale: float = 1.0,
     seed: int = 7,
 ) -> pd.DataFrame:
@@ -41,11 +40,10 @@ def run_global_nrmse(
 
     ``r_rept`` REPT runs per c; pooled methods build a pool of
     ``r_pool × max(c_list)`` trials reused across the sweep. MASCOT
-    trials are nearly free (closed form), so its pool defaults to
-    ``3 × r_pool`` for a less noisy REPT-vs-MASCOT comparison.
+    trials are nearly free (closed form), so its pool is
+    ``3 × r_pool × max(c_list)`` for a less noisy REPT-vs-MASCOT
+    comparison.
     """
-    if r_pool_mascot is None:
-        r_pool_mascot = 3 * r_pool
     m = p_inv
     p = 1.0 / m
     c_max = max(c_list)
@@ -57,7 +55,7 @@ def run_global_nrmse(
 
         pools: dict[str, np.ndarray] = {}
         if "mascot" in methods:
-            seeds = [mix_seeds(base, 1, i) for i in range(r_pool_mascot * c_max)]
+            seeds = [mix_seeds(base, 1, i) for i in range(3 * r_pool * c_max)]
             pools["mascot"] = mascot_trial_estimates(spark, t, p, seeds)
         for meth, budget_m in zip(("triest", "gps"), budgets):
             if meth not in methods:

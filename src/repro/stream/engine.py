@@ -10,12 +10,9 @@ of the paper's parallel model: REPT's c processors genuinely run
 concurrently on the cluster (here local[*]), as many at a time as there
 are cores, without paying a task's scheduling cost per trial.
 
-Trial specs are dicts:
-
-* ``{"method": "rept", "m", "proc", "seed", "track_eta"?}``
-* ``{"method": "mascot", "p", "seed"}``
-* ``{"method": "triest", "budget", "seed"}``
-* ``{"method": "gps", "budget", "seed"}``
+Trial specs are dicts ``{"method": …}`` that carry the keys
+:data:`_METHODS` lists for their method, e.g. ``{"method": "mascot",
+"p": 0.1, "seed": 7}``; a rept spec may add ``track_eta``.
 
 Output rows: ``(trial, v, est, eta, n_sampled, elapsed)`` where
 ``v = −1`` carries the trial's global value (REPT: raw τ^(i)/η^(i);
@@ -32,41 +29,37 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.core.hashing import check_budget, check_mascot, check_rept, is_int
 from repro.graphs.datasets import Stream
-from repro.stream.gps import check_gps, gps_processor
-from repro.stream.mascot import check_mascot, mascot_processor
-from repro.stream.rept import check_rept, rept_processor
-from repro.stream.triest import check_triest, triest_processor
+from repro.stream.gps import gps_processor
+from repro.stream.mascot import mascot_processor
+from repro.stream.rept import rept_processor
+from repro.stream.triest import triest_processor
 
 _DTYPES = {"trial": "int64", "v": "int64", "est": "float64", "eta": "float64",
            "n_sampled": "int64", "elapsed": "float64"}
 _COLUMNS = list(_DTYPES)
 
-#: the keys every spec of a method must carry (optional ones aside).
-_REQUIRED = {
-    "rept": ("m", "proc", "seed"),
-    "mascot": ("p", "seed"),
-    "triest": ("budget", "seed"),
-    "gps": ("budget", "seed"),
+#: method → (processor, its parameter check, the spec keys both take in
+#: order).
+_METHODS = {
+    "rept": (rept_processor, check_rept, ("m", "proc", "seed")),
+    "mascot": (mascot_processor, check_mascot, ("p", "seed")),
+    "triest": (triest_processor, check_budget, ("budget", "seed")),
+    "gps": (gps_processor, check_budget, ("budget", "seed")),
 }
 
 
 def _check_spec(spec: dict) -> None:
     """Raise ``ValueError`` for a spec no processor could run."""
     method = spec.get("method")
-    if method not in _REQUIRED:
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    missing = [key for key in _REQUIRED[method] if key not in spec]
+    _, check, keys = _METHODS[method]
+    missing = [key for key in keys if key not in spec]
     if missing:
         raise ValueError(f"{method} spec is missing {missing}")
-    if method == "rept":
-        check_rept(spec["m"], spec["proc"], spec["seed"])
-    elif method == "mascot":
-        check_mascot(spec["p"], spec["seed"])
-    elif method == "triest":
-        check_triest(spec["budget"], spec["seed"])
-    else:
-        check_gps(spec["budget"], spec["seed"])
+    check(*(spec[key] for key in keys))
 
 
 def _drop_zip_finders() -> None:
@@ -84,30 +77,16 @@ def _drop_zip_finders() -> None:
         del cache[path]
 
 
-def _run_one(stream: Stream, spec: dict, track_local: bool) -> tuple[dict, dict, dict]:
-    """Dispatch one trial; returns (global result, local est, local eta)."""
-    method = spec["method"]
-    if method == "rept":
-        r = rept_processor(
-            stream, spec["m"], spec["proc"], spec["seed"],
-            track_eta=bool(spec.get("track_eta")), track_local=track_local,
-        )
-        return (
-            {"est": float(r["tau"]), "eta": float(r["eta"]),
-             "n_sampled": r["n_sampled"], "elapsed": r["elapsed"]},
-            r["tau_v"], r["eta_v"],
-        )
-    if method == "mascot":
-        r = mascot_processor(stream, spec["p"], spec["seed"], track_local=track_local)
-    elif method == "triest":
-        r = triest_processor(stream, spec["budget"], spec["seed"], track_local=track_local)
-    else:
-        r = gps_processor(stream, spec["budget"], spec["seed"], track_local=track_local)
-    return (
-        {"est": float(r["tau_hat"]), "eta": 0.0,
-         "n_sampled": r["n_sampled"], "elapsed": r["elapsed"]},
-        r["tau_v_hat"], {},
-    )
+def _run_one(stream: Stream, spec: dict, track_local: bool) -> tuple:
+    """Run one trial; returns (est, eta, processor result, local est,
+    local eta). REPT reports its raw τ^(i), η^(i); a baseline its τ̂."""
+    run, _, keys = _METHODS[spec["method"]]
+    args = [spec[key] for key in keys]
+    if spec["method"] == "rept":
+        r = run(stream, *args, track_eta=bool(spec.get("track_eta")), track_local=track_local)
+        return float(r["tau"]), float(r["eta"]), r, r["tau_v"], r["eta_v"]
+    r = run(stream, *args, track_local=track_local)
+    return float(r["tau_hat"]), 0.0, r, r["tau_v_hat"], {}
 
 
 def run_stream_trials(
@@ -139,8 +118,8 @@ def run_stream_trials(
         s = Stream(d["name"], d["t"], d["u"], d["v"], d["k"])
         for chunk in part:
             for trial, spec in chunk:
-                g, loc, loc_eta = _run_one(s, spec, track_local)
-                yield (trial, -1, g["est"], g["eta"], g["n_sampled"], g["elapsed"])
+                est, eta, r, loc, loc_eta = _run_one(s, spec, track_local)
+                yield (trial, -1, est, eta, r["n_sampled"], r["elapsed"])
                 if track_local:
                     for v, est in loc.items():
                         yield (trial, int(v), float(est), float(loc_eta.get(v, 0.0)), 0, 0.0)
@@ -160,8 +139,8 @@ def global_estimates(trials: pd.DataFrame) -> pd.DataFrame:
 
 
 def _check_c(c: int) -> None:
-    if c < 1:
-        raise ValueError("need c >= 1")
+    if not (is_int(c) and c >= 1):
+        raise ValueError(f"need c >= 1 as an integer, got c={c!r}")
 
 
 def pooled_parallel_estimates(trial_estimates: np.ndarray, c: int) -> np.ndarray:

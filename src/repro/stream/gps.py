@@ -18,16 +18,8 @@ import time
 
 import numpy as np
 
-from repro.core.hashing import check_seed, is_int, uniform01
+from repro.core.hashing import check_budget, uniform01
 from repro.graphs.datasets import Stream
-
-
-def check_gps(budget: int, seed: int) -> None:
-    """Raise ``ValueError`` unless ``budget`` is an integer of at least 2
-    edges and ``seed`` is an integer in [0, 2^64)."""
-    if not (is_int(budget) and budget >= 2):
-        raise ValueError(f"GPS needs an integer budget of at least 2 edges, got {budget!r}")
-    check_seed(seed)
 
 
 def gps_processor(
@@ -37,7 +29,7 @@ def gps_processor(
     track_local: bool = False,
 ) -> dict:
     """One GPS-lite trial with sample-size ``budget``."""
-    check_gps(budget, seed)
+    check_budget(budget, seed)
     u01 = uniform01(stream.k, seed)
     adj: dict[int, set[int]] = {}
     wt: dict[int, dict[int, float]] = {}  # wt[a][b] = wt[b][a] = w((a, b))

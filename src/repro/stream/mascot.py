@@ -10,17 +10,9 @@ from __future__ import annotations
 
 import time
 
-from repro.core.hashing import check_seed, uniform01
+from repro.core.hashing import check_mascot, uniform01
 from repro.graphs.datasets import Stream
 from repro.stream.rept import ProcessorState, semi_triangle_pass
-
-
-def check_mascot(p: float, seed: int) -> None:
-    """Raise ``ValueError`` unless ``0 < p <= 1`` and ``seed`` is an
-    integer in [0, 2^64)."""
-    if not 0 < p <= 1:
-        raise ValueError(f"mascot needs p in (0, 1], got p={p}")
-    check_seed(seed)
 
 
 def mascot_processor(

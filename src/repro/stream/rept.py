@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.estimators import rept_estimate
-from repro.core.hashing import bucket, check_seed, is_int, rept_groups
+from repro.core.hashing import bucket, check_rept, rept_groups
 from repro.graphs.datasets import Stream
 
 
@@ -87,14 +87,6 @@ def semi_triangle_pass(
             if track_eta:
                 tau_edge[(a, b) if a < b else (b, a)] = n_common
     state.tau, state.eta = tau, eta
-
-
-def check_rept(m: int, proc: int, seed: int) -> None:
-    """Raise ``ValueError`` unless m and proc are integers with
-    ``0 <= proc < m`` and ``seed`` is in [0, 2^64)."""
-    if not (is_int(m) and is_int(proc) and 0 <= proc < m):
-        raise ValueError(f"rept needs integers 0 <= proc < m, got proc={proc!r}, m={m!r}")
-    check_seed(seed)
 
 
 def rept_processor(

@@ -12,16 +12,8 @@ import time
 
 import numpy as np
 
-from repro.core.hashing import check_seed, is_int
+from repro.core.hashing import check_budget
 from repro.graphs.datasets import Stream
-
-
-def check_triest(budget: int, seed: int) -> None:
-    """Raise ``ValueError`` unless ``budget`` is an integer of at least 2
-    edges and ``seed`` is an integer in [0, 2^64)."""
-    if not (is_int(budget) and budget >= 2):
-        raise ValueError(f"Trièst needs an integer budget of at least 2 edges, got {budget!r}")
-    check_seed(seed)
 
 
 def triest_processor(
@@ -32,7 +24,7 @@ def triest_processor(
     Edge t enters the reservoir when ``coin_t < M/t``, which always holds
     while t ≤ M; the test is decided for every edge in one numpy
     comparison before the loop (DESIGN.md §6)."""
-    check_triest(budget, seed)
+    check_budget(budget, seed)
     rng = np.random.default_rng(seed)
     n = stream.n_edges
     # Pre-draw reservoir randomness in bulk (cheaper than per-step calls).

@@ -37,6 +37,22 @@ BAD_CALLS = {
     ),
     "repeated_key": lambda: build_tables(None, _with_repeated_edge(tiny_stream())),
 }
+_REPT = {"rept_global_runs": rept_global_runs, "rept_local_runs": rept_local_runs}
+_MASCOT = {"mascot_trial_estimates": mascot_trial_estimates,
+           "mascot_local_trial_counts": mascot_local_trial_counts}
+# A bad seed after a good one, at every entry point.
+for _seed in (1.5, -1, 2**64, True, None):
+    for _name, _f in _REPT.items():
+        BAD_CALLS[f"{_name}_seed={_seed!r}"] = lambda f=_f, s=_seed: f(None, None, 4, 2, [1, s])
+    for _name, _f in _MASCOT.items():
+        BAD_CALLS[f"{_name}_seed={_seed!r}"] = lambda f=_f, s=_seed: f(None, None, 0.5, [1, s])
+for _x in (2.5, True, 0):
+    for _name, _f in _REPT.items():
+        BAD_CALLS[f"{_name}_m={_x!r}"] = lambda f=_f, x=_x: f(None, None, x, 2, [1])
+        BAD_CALLS[f"{_name}_c={_x!r}"] = lambda f=_f, x=_x: f(None, None, 4, x, [1])
+for _p in (0, 1.5, True, None):
+    for _name, _f in _MASCOT.items():
+        BAD_CALLS[f"{_name}_p={_p!r}"] = lambda f=_f, p=_p: f(None, None, p, [1])
 
 
 @pytest.mark.parametrize("name", BAD_CALLS)

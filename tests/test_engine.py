@@ -157,13 +157,35 @@ def test_unknown_method_raises(spark, yt):
         {"method": "gps", "budget": 4, "seed": 2**64},
         {"method": "rept", "m": 4, "proc": 0, "seed": True},
         {"method": "mascot", "p": 0.5, "seed": None},
+        {"method": "gps", "budget": True, "seed": 1},
+        {"method": "mascot", "p": True, "seed": 1},
+        {"method": "mascot", "p": None, "seed": 1},
+        {"method": "rept", "m": 4, "proc": 0, "seed": 1.5},
+        {"method": "rept", "m": 4, "proc": 0, "seed": -1},
+        {"method": "rept", "m": 4, "proc": 0, "seed": 2**64},
+        {"method": "rept", "m": 4, "proc": 0, "seed": None},
+        {"method": "mascot", "p": 0.5, "seed": -1},
+        {"method": "mascot", "p": 0.5, "seed": 2**64},
+        {"method": "mascot", "p": 0.5, "seed": True},
+        {"method": "triest", "budget": 4, "seed": 1.5},
+        {"method": "triest", "budget": 4, "seed": 2**64},
+        {"method": "triest", "budget": 4, "seed": True},
+        {"method": "triest", "budget": 4, "seed": None},
+        {"method": "gps", "budget": 4, "seed": 1.5},
+        {"method": "gps", "budget": 4, "seed": -1},
+        {"method": "gps", "budget": 4, "seed": True},
+        {"method": "gps", "budget": 4, "seed": None},
     ],
     ids=[
         "unknown_method", "no_method", "missing_proc", "missing_p", "m<1",
         "proc>=m", "proc<0", "p=0", "p>1", "triest_budget<2", "gps_budget<2",
         "triest_budget_float", "gps_budget_float", "triest_budget_bool", "m_float",
         "proc_float", "m_bool", "proc_bool", "mascot_seed_float", "triest_seed<0",
-        "gps_seed>=2^64", "rept_seed_bool", "mascot_seed_none",
+        "gps_seed>=2^64", "rept_seed_bool", "mascot_seed_none", "gps_budget_bool",
+        "p_bool", "p_none", "rept_seed_float", "rept_seed<0", "rept_seed>=2^64",
+        "rept_seed_none", "mascot_seed<0", "mascot_seed>=2^64", "mascot_seed_bool",
+        "triest_seed_float", "triest_seed>=2^64", "triest_seed_bool", "triest_seed_none",
+        "gps_seed_float", "gps_seed<0", "gps_seed_bool", "gps_seed_none",
     ],
 )
 def test_bad_spec_rejected_before_any_job(spark, yt, job_group, spec):
@@ -197,12 +219,39 @@ def test_bad_spec_rejected_before_any_job(spark, yt, job_group, spec):
         lambda s: triest_processor(s, 4, -1),
         lambda s: gps_processor(s, 2.5, 1),
         lambda s: gps_processor(s, 4, 1.0),
+        lambda s: rept_run(s, 4, 2.5, 1),
+        lambda s: rept_run(s, 2.5, 3, 1),
+        lambda s: rept_run(s, 4, True, 1),
+        lambda s: rept_run(s, True, 3, 1),
+        lambda s: rept_run(s, 4, 3, 1.5),
+        lambda s: rept_run(s, 4, 6, -1),
+        lambda s: rept_run(s, 4, 3, 2**64),
+        lambda s: rept_run(s, 4, 6, None),
+        lambda s: rept_processor(s, True, 0, 1),
+        lambda s: rept_processor(s, 4, True, 1),
+        lambda s: rept_processor(s, 4, 0, 2**64),
+        lambda s: rept_processor(s, 4, 0, None),
+        lambda s: mascot_processor(s, True, 1),
+        lambda s: mascot_processor(s, None, 1),
+        lambda s: mascot_processor(s, 0.5, -1),
+        lambda s: mascot_processor(s, 0.5, True),
+        lambda s: triest_processor(s, 0, 1),
+        lambda s: triest_processor(s, 4, 1.5),
+        lambda s: triest_processor(s, 4, 2**64),
+        lambda s: gps_processor(s, True, 1),
+        lambda s: gps_processor(s, 4, -1),
+        lambda s: gps_processor(s, 4, None),
     ],
     ids=[
         "m<1", "proc>=m", "proc<0", "p=0", "p<0", "p>1", "triest_budget<2", "gps_budget<2",
         "rept_run_c=0", "rept_run_c<0", "rept_run_m<1", "m_float", "proc_float",
         "rept_seed<0", "mascot_seed_float", "mascot_seed>=2^64", "triest_budget_float",
         "triest_budget_bool", "triest_seed<0", "gps_budget_float", "gps_seed_float",
+        "rept_run_c_float", "rept_run_m_float", "rept_run_c_bool", "rept_run_m_bool",
+        "rept_run_seed_float", "rept_run_seed<0", "rept_run_seed>=2^64", "rept_run_seed_none",
+        "m_bool", "proc_bool", "rept_seed>=2^64", "rept_seed_none", "p_bool", "p_none",
+        "mascot_seed<0", "mascot_seed_bool", "triest_budget=0", "triest_seed_float",
+        "triest_seed>=2^64", "gps_budget_bool", "gps_seed<0", "gps_seed_none",
     ],
 )
 def test_bad_parameters_rejected_by_direct_call(call):
@@ -256,7 +305,7 @@ def test_drop_zip_finders(tmp_path):
 def test_pooled_parallel_estimates():
     out = pooled_parallel_estimates(np.arange(12, dtype=float), 4)
     assert out.tolist() == [1.5, 5.5, 9.5]
-    for c in (0, -1, -2):
+    for c in (0, -1, -2, 2.5, True):
         with pytest.raises(ValueError, match="need c >= 1"):
             pooled_parallel_estimates(np.arange(12, dtype=float), c)
 
@@ -267,7 +316,7 @@ def test_pooled_parallel_local(spark, yt):
     nodes = np.unique(np.concatenate([yt.u, yt.v]))
     est = pooled_parallel_local(out, 2, 4, nodes)
     assert est.shape == (2, len(nodes))
-    for c in (0, -1):
+    for c in (0, -1, 2.5, True):
         with pytest.raises(ValueError, match="need c >= 1"):
             pooled_parallel_local(out, c, 2, nodes)
     # run r is the mean of trials 2r and 2r + 1, absent nodes adding 0

@@ -217,7 +217,15 @@ class TestReptGroups:
             (8986781451786984705, 2), (14666076619991609253, 2), (455839091748387030, 1)
         ]
 
-    @pytest.mark.parametrize("m,c", [(0, 1), (3, 0), (3, -1), (-1, 4)])
+    @pytest.mark.parametrize(
+        "m,c", [(0, 1), (3, 0), (3, -1), (-1, 4), (2.5, 3), (3, 2.5), (True, 3), (3, True)]
+    )
     def test_rejects_bad_m_c(self, m, c):
         with pytest.raises(ValueError, match="need m >= 1 and c >= 1"):
             rept_groups(m, c, 7)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, True, None])
+    @pytest.mark.parametrize("m,c", [(3, 2), (3, 7)])
+    def test_rejects_bad_seed(self, m, c, seed):
+        with pytest.raises(ValueError, match="seed"):
+            rept_groups(m, c, seed)

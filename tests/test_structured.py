@@ -149,22 +149,31 @@ def test_snapshot_layout_c_le_m(spark, small, tmp_path):
     assert all(p.eta == 0 and not p.tau_edge for p in state["procs"])
 
 
-@pytest.mark.parametrize("m,c", [(0, 1), (4, 0), (4, -1)], ids=["m<1", "c<1", "c<0"])
-def test_rejects_bad_m_c(spark, tmp_path, m, c):
+@pytest.mark.parametrize(
+    "m,c,seed",
+    [(0, 1, 1), (4, 0, 1), (4, -1, 1), (2.5, 2, 1), (4, 2.5, 1), (True, 2, 1), (4, True, 1),
+     (4, 2, 1.5), (4, 6, -1), (4, 2, 2**64), (4, 6, True), (4, 2, None)],
+    ids=["m<1", "c<1", "c<0", "m_float", "c_float", "m_bool", "c_bool", "seed_float",
+         "seed<0", "seed>=2^64", "seed_bool", "seed_none"],
+)
+def test_rejects_bad_m_c(spark, small, tmp_path, job_group, m, c, seed):
+    write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=2)
     with pytest.raises(ValueError):
         rept_structured_counts(
-            spark, str(tmp_path / "in"), m, c, 1, str(tmp_path / "ckpt")
+            spark, str(tmp_path / "in"), m, c, seed, str(tmp_path / "ckpt")
         )
+    assert not (tmp_path / "ckpt").exists()
+    assert job_group() == (0, 0)
 
 
-@pytest.mark.parametrize("n_files", [0, -1])
+@pytest.mark.parametrize("n_files", [0, -1, 2.5, True])
 def test_write_stream_files_rejects_bad_n_files(small, tmp_path, n_files):
     with pytest.raises(ValueError, match="n_files"):
         write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=n_files)
     assert not (tmp_path / "in").exists()
 
 
-@pytest.mark.parametrize("max_files", [0, -1])
+@pytest.mark.parametrize("max_files", [0, -1, 1.5, True])
 def test_rejects_bad_max_files_per_trigger(spark, small, tmp_path, job_group, max_files):
     write_stream_files(stream_pdf(small), str(tmp_path / "in"), n_files=2)
     with pytest.raises(ValueError, match="max_files_per_trigger"):
