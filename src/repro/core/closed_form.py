@@ -5,9 +5,9 @@ with numpy gathers and ``np.bincount`` over the triangle arrays of
 :class:`repro.graphs.exact.TriangleIndex` on the driver, reproducing
 exactly what the sequential simulators in :mod:`repro.stream` output.
 REPT: each group of the run's plan
-(:func:`repro.core.hashing.rept_groups`) is counted from one
-semi-triangle index under its seed; Algorithm 1 reads τ only, so it
-skips the η counters.
+(:func:`repro.core.hashing.rept_groups`) is counted by
+:func:`processor_counts` from one semi-triangle index under its seed; a
+one-group plan (Algorithm 1) reads τ only, so it skips the η counters.
 MASCOT: a trial is the one processor that holds the edges passing its
 Bernoulli(p) test, evaluated as ``derive(k, seed) < T(p)``
 (:func:`repro.core.hashing.uniform01_threshold`) on the open edges
@@ -60,24 +60,26 @@ def _eta_g(tri: TriangleIndex, buckets, semi, proc) -> np.ndarray:
 
 
 def processor_counts(
-    tri: TriangleIndex, buckets: np.ndarray, lim: int, local: bool = False
+    tri: TriangleIndex, buckets: np.ndarray, lim: int, local: bool = False, eta: bool = True
 ) -> dict:
     """End-of-stream counts of processors ``0 … lim−1``, where processor
     i holds the stream edges whose entry in ``buckets`` is i.
 
-    Returns τ^(i) and η^(i) as int arrays of length ``lim`` and, when
-    ``local``, τ_v^(i) and η_v^(i) as ``lim × len(tri.nodes)`` int arrays.
+    Returns τ^(i) and, when ``eta``, η^(i) as int arrays of length
+    ``lim``; when ``local``, also τ_v^(i) and (with ``eta``) η_v^(i) as
+    ``lim × len(tri.nodes)`` int arrays.
     """
     semi, proc = _semi(tri, buckets, lim)
+    out = {"tau": _tau(tri, semi, proc, lim, False)}
+    if local:
+        out["tau_v"] = _tau(tri, semi, proc, lim, True)
+    if not eta:
+        return out
     eta_g = _eta_g(tri, buckets, semi, proc)
     # η_g is nonzero only where x_g > 0, so on an edge of a bucket < lim.
-    out = {
-        "tau": _tau(tri, semi, proc, lim, False),
-        "eta": np.bincount(buckets, weights=eta_g, minlength=lim)[:lim].astype(np.int64),
-    }
+    out["eta"] = np.bincount(buckets, weights=eta_g, minlength=lim)[:lim].astype(np.int64)
     if local:
         n = len(tri.nodes)
-        out["tau_v"] = _tau(tri, semi, proc, lim, True)
         g = np.flatnonzero(eta_g)
         cells = (buckets[g].astype(np.int64) * n + tri.ends[:, g]).ravel()
         eta_v = np.bincount(cells, weights=np.tile(eta_g[g], 2), minlength=lim * n)
@@ -98,25 +100,18 @@ def _check(seeds: list[int], p: float = 1.0) -> None:
 def _rept_counts(tables: TriangleTables, m: int, c: int, seed: int, local: bool):
     """τ^(i) of one REPT run's c processors in plan order, stacked on axis
     0, and Σ η^(i) over them (0 for c ≤ m); τ_v^(i) and Σ η_v^(i) when
-    ``local``."""
+    ``local``. Each group is counted by :func:`processor_counts`, with η
+    only when the plan has more than one group (Algorithm 2)."""
     plan = rept_groups(m, c, seed)  # checks (m, c) before the tables are read
-    tri = tables.index
+    tau, eta = ("tau_v", "eta_v") if local else ("tau", "eta")
+    track_eta = len(plan) > 1
     taus, eta_sum = [], 0
     for group_seed, lim in plan:
-        buckets = bucket(tables.stream.k, group_seed, m)
-        semi, proc = _semi(tri, buckets, lim)
-        taus.append(_tau(tri, semi, proc, lim, local))
-        if c <= m:  # Algorithm 1 reads no η.
-            continue
-        # Σ_i η^(i) is Σ_g η_g; Σ_i η_v^(i) adds η_g to both ends of g.
-        eta_g = _eta_g(tri, buckets, semi, proc)
-        if local:
-            g = np.flatnonzero(eta_g)
-            eta_v = np.bincount(tri.ends[:, g].ravel(), weights=np.tile(eta_g[g], 2),
-                                minlength=len(tri.nodes))
-            eta_sum = eta_sum + eta_v.astype(np.int64)
-        else:
-            eta_sum = eta_sum + eta_g.sum()
+        counts = processor_counts(tables.index, bucket(tables.stream.k, group_seed, m), lim,
+                                  local, track_eta)
+        taus.append(counts[tau])
+        if track_eta:
+            eta_sum = eta_sum + counts[eta].sum(axis=0)
     return np.concatenate(taus), eta_sum
 
 

@@ -3,12 +3,12 @@
 The edge stream arrives as files in a directory (the paper's future-work
 direction), and a file-source query hands each micro-batch to a
 ``foreachBatch`` sink. The sink collects the batch once (Arrow
-``toPandas``), sorts it by ``t`` and runs the shared
-:func:`repro.stream.rept.semi_triangle_pass` once per processor, on the
-driver. The processors are those of the groups of
-:func:`repro.core.hashing.rept_groups`, so c > m (Algorithm 2) runs in
-one query; each inserts only the edges hashing to its bucket under its
-group's seed. η^(i) is tracked when c > m, for the Graybill–Deal step.
+``toPandas``), sorts it by ``t`` and feeds it, on the driver, to the
+processors of the groups of :func:`repro.core.hashing.rept_groups`
+through :func:`repro.stream.rept.feed_plan`, the loop of the sequential
+simulator, so c > m (Algorithm 2) runs in one query; each processor
+inserts only the edges hashing to its bucket under its group's seed.
+η^(i) is tracked when c > m, for the Graybill–Deal step.
 
 The c processors' :class:`~repro.stream.rept.ProcessorState` (a flat
 list in plan order), the last ``t`` and the ``(m, c, seed)`` are written
@@ -37,8 +37,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.hashing import bucket, is_int, rept_groups
-from repro.stream.rept import ProcessorState, semi_triangle_pass
+from repro.core.hashing import is_int, rept_groups
+from repro.stream.rept import ProcessorState, feed_plan
 
 EDGE_SCHEMA = "t LONG, a LONG, b LONG, k LONG"
 
@@ -74,8 +74,7 @@ def write_stream_files(pdf: pd.DataFrame, out_dir: str, n_files: int = 3) -> lis
 
 
 def _feed(
-    state: dict, pdf: pd.DataFrame, batch_id: int, m: int,
-    plan: list[tuple[int, int]], track_eta: bool,
+    state: dict, pdf: pd.DataFrame, batch_id: int, m: int, plan: list[tuple[int, int]]
 ) -> None:
     """Run the processors of every group in ``plan`` over one micro-batch,
     in stream order."""
@@ -84,14 +83,8 @@ def _feed(
     if t_first <= state["t_max"]:
         raise ValueError(f"micro-batch {batch_id} starts at t={t_first}, not after "
                          f"t={state['t_max']}: files must arrive in stream order")
-    keys = pdf["k"].to_numpy().view(np.uint64)
-    a_col, b_col = pdf["a"].tolist(), pdf["b"].tolist()
-    procs = iter(state["procs"])
-    for group_seed, n in plan:
-        buckets = bucket(keys, group_seed, m)
-        for proc in range(n):
-            semi_triangle_pass(next(procs), a_col, b_col, (buckets == proc).tolist(),
-                               track_eta)
+    feed_plan(state["procs"], pdf["a"].tolist(), pdf["b"].tolist(),
+              pdf["k"].to_numpy().view(np.uint64), m, plan)
     state["t_max"] = int(pdf["t"].iloc[-1])
 
 
@@ -139,7 +132,7 @@ def rept_structured_counts(
         state = held if held_id == batch_id - 1 else load(batch_id - 1)
         pdf = df.toPandas()
         if len(pdf):  # an empty batch carries the state over
-            _feed(state, pdf, batch_id, m, plan, c > m)
+            _feed(state, pdf, batch_id, m, plan)
         with open(f"{path(batch_id)}.tmp", "wb") as f:
             pickle.dump(state, f, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(f"{path(batch_id)}.tmp", path(batch_id))

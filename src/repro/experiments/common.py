@@ -3,12 +3,13 @@ profile knobs, seed derivation, and result CSV output."""
 from __future__ import annotations
 
 import contextlib
+import numbers
 import os
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.hashing import mix_seeds
+from repro.core.hashing import is_int, mix_seeds, rept_groups
 from repro.graphs.datasets import DATASETS, load_stream
 from repro.graphs.exact import TriangleTables, build_tables
 
@@ -32,6 +33,39 @@ def profile_datasets(requested: list[str] | None = None) -> list[str]:
     if requested is not None:
         return requested
     return list(DATASETS) if full_profile() else list(SMALL_DATASETS)
+
+
+#: every method a harness can run; Figs 5/6 run all but GPS, as the paper.
+METHODS = ("rept", "mascot", "triest", "gps")
+
+
+def check_harness(
+    p_invs, c_list, seed, scale: float, datasets: list[str],
+    methods=None, harness_methods=(), **runs: int,
+) -> None:
+    """Raise ``ValueError``, before a harness does any work, for the
+    parameters one of its later steps would refuse or misread: every
+    (p_inv, c) and ``seed`` through :func:`rept_groups`, the run counts
+    ``runs`` as integers ≥ 1, ``scale`` as a real > 0, the datasets as a
+    non-empty list of names in ``DATASETS`` and, when given, ``methods``
+    as names in :data:`METHODS` with at least one in ``harness_methods``,
+    the methods the harness runs (a CSV without rows is refused)."""
+    if len(p_invs) == 0 or len(c_list) == 0:
+        raise ValueError(f"need at least one p_inv and one c, got {p_invs!r} and {c_list!r}")
+    for p_inv in p_invs:
+        for c in c_list:
+            rept_groups(p_inv, c, seed)
+    for name, r in runs.items():
+        if not (is_int(r) and r >= 1):
+            raise ValueError(f"need {name} >= 1 as an integer, got {r!r}")
+    if not (isinstance(scale, numbers.Real) and not isinstance(scale, bool) and scale > 0):
+        raise ValueError(f"need scale > 0 as a real number, got {scale!r}")
+    if len(datasets) == 0 or any(name not in DATASETS for name in datasets):
+        raise ValueError(f"need datasets among {DATASETS}, got {datasets!r}")
+    if methods is not None and (any(x not in METHODS for x in methods)
+                                or not any(x in harness_methods for x in methods)):
+        raise ValueError(f"need methods among {METHODS}, at least one of "
+                         f"{harness_methods}, got {methods!r}")
 
 
 def get_tables(

@@ -18,7 +18,7 @@ from repro.core.closed_form import mascot_trial_estimates, rept_global_runs
 from repro.core.estimators import nrmse
 from repro.core.hashing import mix_seeds
 from repro.experiments.common import (
-    baseline_budgets, dataset_seed, get_tables, profile_datasets, save_result,
+    baseline_budgets, check_harness, dataset_seed, get_tables, profile_datasets, save_result,
 )
 from repro.stream.engine import global_estimates, pooled_parallel_estimates, run_stream_trials
 
@@ -44,11 +44,14 @@ def run_global_nrmse(
     ``3 × r_pool × max(c_list)`` for a less noisy REPT-vs-MASCOT
     comparison.
     """
+    datasets = profile_datasets(datasets)
+    check_harness([p_inv], c_list, seed, scale, datasets, methods, DEFAULT_METHODS,
+                  r_rept=r_rept, r_pool=r_pool)
     m = p_inv
     p = 1.0 / m
     c_max = max(c_list)
     rows = []
-    for name in profile_datasets(datasets):
+    for name in datasets:
         t = get_tables(spark, name, scale, seed)
         base = dataset_seed(seed, name, p_inv)
         budgets = baseline_budgets(p, t.stream.n_edges)

@@ -16,7 +16,7 @@ from repro.core.closed_form import mascot_local_trial_counts, rept_local_runs
 from repro.core.estimators import local_nrmse
 from repro.core.hashing import mix_seeds
 from repro.experiments.common import (
-    baseline_budgets, dataset_seed, get_tables, profile_datasets, save_result,
+    baseline_budgets, check_harness, dataset_seed, get_tables, profile_datasets, save_result,
 )
 from repro.graphs.exact import local_counts
 from repro.stream.engine import pooled_parallel_local, run_stream_trials
@@ -36,11 +36,14 @@ def run_local_nrmse(
     seed: int = 7,
 ) -> pd.DataFrame:
     """One row per (dataset, method, c): mean local NRMSE."""
+    datasets = profile_datasets(datasets)
+    check_harness([p_inv], c_list, seed, scale, datasets, methods, DEFAULT_METHODS,
+                  r_rept=r_rept, r_pool=r_pool)
     m = p_inv
     p = 1.0 / m
     c_max = max(c_list)
     rows = []
-    for name in profile_datasets(datasets):
+    for name in datasets:
         t = get_tables(spark, name, scale, seed)
         tau_v = local_counts(t.index)
         base = dataset_seed(seed, name, p_inv, 99)

@@ -12,7 +12,9 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.hashing import mix_seeds
-from repro.experiments.common import baseline_budgets, dataset_seed, profile_datasets, save_result
+from repro.experiments.common import (
+    baseline_budgets, check_harness, dataset_seed, profile_datasets, save_result,
+)
 from repro.graphs.datasets import load_stream
 from repro.stream.engine import global_estimates, run_stream_trials
 
@@ -28,30 +30,29 @@ def run_runtime(
     seed: int = 7,
 ) -> pd.DataFrame:
     """One row per (dataset, method, p): max and total per-processor time."""
+    datasets = profile_datasets(datasets)
+    check_harness(p_invs, [c], seed, scale, datasets)
+    if c > min(p_invs):  # the c REPT processors hold buckets 0 … c−1 of 1/p
+        raise ValueError(f"Fig 7 runs one REPT group: need c <= every p_inv, "
+                         f"got c={c!r}, p_invs={p_invs!r}")
     rows = []
-    for name in profile_datasets(datasets):
+    for name in datasets:
         stream = load_stream(name, scale, seed)
         for p_inv in p_invs:
             p = 1.0 / p_inv
             base = dataset_seed(seed, name, p_inv, 7777)
             budget, gps_budget = baseline_budgets(p, stream.n_edges)
-            specs: list[dict] = []
-            meta: list[str] = []
             rept_seed = mix_seeds(base, 0)
-            for i in range(c):
-                specs.append({"method": "rept", "m": p_inv, "proc": i, "seed": rept_seed})
-                meta.append("rept")
-            for i in range(c):
-                specs.append({"method": "mascot", "p": p, "seed": mix_seeds(base, 1, i)})
-                meta.append("mascot")
-            for i in range(c):
-                specs.append({"method": "triest", "budget": budget, "seed": mix_seeds(base, 2, i)})
-                meta.append("triest")
-            for i in range(c):
-                specs.append({"method": "gps", "budget": gps_budget, "seed": mix_seeds(base, 3, i)})
-                meta.append("gps")
+            specs = (
+                [{"method": "rept", "m": p_inv, "proc": i, "seed": rept_seed} for i in range(c)]
+                + [{"method": "mascot", "p": p, "seed": mix_seeds(base, 1, i)} for i in range(c)]
+                + [{"method": "triest", "budget": budget, "seed": mix_seeds(base, 2, i)}
+                   for i in range(c)]
+                + [{"method": "gps", "budget": gps_budget, "seed": mix_seeds(base, 3, i)}
+                   for i in range(c)]
+            )
             trials = global_estimates(run_stream_trials(spark, stream, specs))
-            trials = trials.assign(method=meta)
+            trials = trials.assign(method=[spec["method"] for spec in specs])
             for meth, grp in trials.groupby("method"):
                 rows.append(
                     {

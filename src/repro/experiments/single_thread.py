@@ -15,7 +15,9 @@ from pyspark.sql import SparkSession
 from repro.core.closed_form import mascot_trial_estimates, rept_global_runs
 from repro.core.estimators import nrmse
 from repro.core.hashing import mix_seeds, rept_groups
-from repro.experiments.common import baseline_budgets, dataset_seed, get_tables, save_result
+from repro.experiments.common import (
+    baseline_budgets, check_harness, dataset_seed, get_tables, save_result,
+)
 from repro.stream.engine import global_estimates, run_stream_trials
 
 
@@ -30,7 +32,8 @@ def run_single_thread(
     seed: int = 7,
 ) -> pd.DataFrame:
     """One row per (c, method): runtime and NRMSE at equal memory."""
-    c_list = c_list or [2, 8, 32]
+    c_list = [2, 8, 32] if c_list is None else c_list
+    check_harness([p_inv], c_list, seed, scale, [dataset], r_err=r_err, r_rept=r_rept)
     m = p_inv
     p = 1.0 / m
     t = get_tables(spark, dataset, scale, seed)

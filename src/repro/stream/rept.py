@@ -1,13 +1,13 @@
 """Sequential per-processor REPT (paper Algorithms 1 and 2).
 
 :func:`semi_triangle_pass` is the paper's ``foreach (u,v) ∈ Π`` loop for
-one processor, shared by REPT, the MASCOT baseline
-(:mod:`repro.stream.mascot`) and the Structured Streaming sink
-(:mod:`repro.core.structured`); it resumes from a :class:`ProcessorState`,
-so a stream may be fed in pieces. ``rept_run`` assembles a full REPT
-estimate (either algorithm) from c sequential processors — the oracle
-that tests and the benchmark check against; the NRMSE sweeps use the
-closed-form evaluator (:mod:`repro.core.closed_form`) instead.
+one processor, shared by REPT and the MASCOT baseline
+(:mod:`repro.stream.mascot`); it resumes from a :class:`ProcessorState`,
+so a stream may be fed in pieces. :func:`feed_plan` runs it for every
+processor of a REPT group plan, for ``rept_run`` — the oracle that tests
+and the benchmark check against — and for the Structured Streaming sink
+(:mod:`repro.core.structured`), one micro-batch at a time. The NRMSE
+sweeps use the closed-form evaluator (:mod:`repro.core.closed_form`).
 """
 from __future__ import annotations
 
@@ -121,41 +121,47 @@ def rept_processor(
     }
 
 
+def feed_plan(
+    states: list[ProcessorState], u: list[int], v: list[int], k: np.ndarray, m: int,
+    plan: list[tuple[int, int]], track_local: bool = False,
+) -> None:
+    """Feed the edges ``(u[j], v[j])`` with keys ``k``, in order, to the
+    processors of every group of ``plan`` (:func:`rept_groups`), whose
+    ``states`` are listed in plan order: one bucket per group under its
+    seed, and one :func:`semi_triangle_pass` per processor. η is tracked
+    when the plan has more than one group (Algorithm 2)."""
+    track_eta = len(plan) > 1
+    states = iter(states)
+    for group_seed, n in plan:
+        buckets = bucket(k, group_seed, m)
+        for proc in range(n):
+            semi_triangle_pass(next(states), u, v, (buckets == proc).tolist(),
+                               track_eta, track_local)
+
+
 def rept_run(
     stream: Stream, m: int, c: int, seed: int, track_local: bool = False
 ) -> dict:
     """Full REPT estimate from c sequential processors (driver-side).
 
-    Runs the processors of :func:`rept_groups` in plan order, tracking η
-    when c > m, and combines them with :func:`rept_estimate` (Algorithm 1
-    or 2, Graybill–Deal included); local estimates are sparse dicts.
+    Feeds the stream to the processors of :func:`rept_groups` through
+    :func:`feed_plan` and combines them with :func:`rept_estimate`
+    (Algorithm 1 or 2, Graybill–Deal included); local estimates are
+    sparse dicts. ``procs`` holds the c :class:`ProcessorState`s in plan
+    order.
     """
-    procs = [
-        rept_processor(stream, m, i, group_seed, track_eta=c > m, track_local=track_local)
-        for group_seed, n in rept_groups(m, c, seed)
-        for i in range(n)
-    ]
-    out = rept_estimate([p["tau"] for p in procs], sum(p["eta"] for p in procs), m, c)
+    plan = rept_groups(m, c, seed)
+    procs = [ProcessorState() for _ in range(c)]
+    feed_plan(procs, stream.u.tolist(), stream.v.tolist(), stream.k, m, plan, track_local)
+    out = rept_estimate([p.tau for p in procs], sum(p.eta for p in procs), m, c)
     out = {k: float(x) for k, x in out.items()}
 
     locals_: dict[int, float] = {}
     if track_local:
-        ev = _sum_local(procs, "eta_v")
-        nodes = sorted(set(ev).union(*(p["tau_v"] for p in procs)))
+        nodes = sorted(set().union(*(p.tau_v for p in procs), *(p.eta_v for p in procs)))
         est = rept_estimate(
-            np.array([[p["tau_v"].get(v, 0) for v in nodes] for p in procs]),
-            np.array([ev.get(v, 0) for v in nodes]),
-            m,
-            c,
+            np.array([[p.tau_v.get(v, 0) for v in nodes] for p in procs]),
+            np.array([sum(p.eta_v.get(v, 0) for p in procs) for v in nodes]), m, c,
         )["tau_hat"]
         locals_ = dict(zip(nodes, est.tolist()))
     return {**out, "tau_v_hat": locals_, "procs": procs}
-
-
-def _sum_local(procs: list[dict], key: str) -> dict[int, int]:
-    """Per-node sum of the sparse counters ``key`` over processors."""
-    total: dict[int, int] = {}
-    for p in procs:
-        for v, x in p[key].items():
-            total[v] = total.get(v, 0) + x
-    return total

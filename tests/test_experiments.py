@@ -8,6 +8,10 @@ import pandas as pd
 import pytest
 
 import repro.experiments.common as common
+import repro.experiments.global_nrmse as global_nrmse
+import repro.experiments.local_nrmse as local_nrmse
+import repro.experiments.runtime as runtime
+import repro.experiments.single_thread as single_thread
 from repro.experiments.fig1 import run_fig1
 from repro.experiments.global_nrmse import run_global_nrmse
 from repro.experiments.local_nrmse import run_local_nrmse
@@ -133,6 +137,53 @@ def test_single_thread(spark):
     assert set(out["method"]) == {"rept", "mascot_s", "triest_s", "gps_s"}
     assert (out["time_s"] > 0).all()
     assert np.isfinite(out["nrmse"]).all()
+
+
+# Valid calls, each changed by one bad parameter below.
+HARNESSES = {
+    "global": (run_global_nrmse, dict(p_inv=10, c_list=[2], datasets=["YouTube"], r_rept=2,
+                                      r_pool=2, scale=SMALL_SCALE)),
+    "local": (run_local_nrmse, dict(p_inv=10, c_list=[2], datasets=["YouTube"], r_rept=2,
+                                    r_pool=2, scale=SMALL_SCALE)),
+    "runtime": (run_runtime, dict(c=2, p_invs=(10,), datasets=["YouTube"], scale=SMALL_SCALE)),
+    "single": (run_single_thread, dict(dataset="YouTube", p_inv=10, c_list=[2], r_err=2, r_rept=2,
+                                       scale=SMALL_SCALE)),
+}
+BAD_PARAMETERS = [
+    *[(h, {"p_inv": bad}) for h in ("global", "local", "single") for bad in (10.0, 0, True)],
+    *[(h, {"c_list": bad}) for h in ("global", "local", "single") for bad in ([], [2.5], [0])],
+    *[(h, {"seed": bad}) for h in HARNESSES for bad in (-1, 1.5)],
+    *[(h, {"scale": bad}) for h in HARNESSES for bad in (0, -0.5, float("nan"), True, "1")],
+    *[(h, {r: bad}) for h, r in [("global", "r_rept"), ("global", "r_pool"), ("local", "r_rept"),
+                                  ("local", "r_pool"), ("single", "r_rept"), ("single", "r_err")]
+      for bad in (0, 1.5, True)],
+    *[(h, {"datasets": bad}) for h in ("global", "local", "runtime") for bad in ([], ["Nope"])],
+    ("single", {"dataset": "Nope"}),
+    *[(h, {"methods": bad}) for h in ("global", "local") for bad in ((), ("rept", "nope"))],
+    ("local", {"methods": ("gps",)}),
+    *[("runtime", kw) for kw in ({"p_invs": ()}, {"p_invs": (10, 2.5)}, {"c": 0}, {"c": 2.5},
+                                 {"c": 11}, {"p_invs": (10, 1)})],
+]
+
+
+@pytest.mark.parametrize(
+    "harness,bad", BAD_PARAMETERS,
+    ids=[f"{h}-{k}={v!r}" for h, kw in BAD_PARAMETERS for k, v in kw.items()],
+)
+def test_harness_refuses_bad_parameters_before_any_work(spark, job_group, tmp_path, monkeypatch,
+                                                        harness, bad):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was loaded before the parameters were checked")
+
+    for mod, attr in [(global_nrmse, "get_tables"), (local_nrmse, "get_tables"),
+                      (single_thread, "get_tables"), (runtime, "load_stream")]:
+        monkeypatch.setattr(mod, attr, no_graph)
+    monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
+    run, kwargs = HARNESSES[harness]
+    with pytest.raises(ValueError):
+        run(spark, **{**kwargs, **bad})
+    assert job_group() == (0, 0)
+    assert os.listdir(tmp_path) == []
 
 
 def test_save_result_failed_write_keeps_old_csv(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.closed_form import processor_counts, rept_global_runs, rept_local_runs
-from repro.core.hashing import bucket
+from repro.core.hashing import bucket, rept_groups
 from repro.stream.rept import rept_processor, rept_run
 from tests.helpers import brute_force, tiny_stream
 
@@ -97,6 +97,23 @@ class TestAlgorithm2:
         run = rept_run(setup.stream, m, c, seed, track_local=True)
         got = rept_local_runs(spark, setup, m, c, [seed])
         assert got.tolist() == [stream_local(setup, run)]
+
+
+@pytest.mark.parametrize("m,c", [(4, 3), (4, 4), (3, 6), (3, 7)],
+                         ids=["c<m", "c=m", "c=2m", "c>m_leftover"])
+def test_rept_run_states_match_processors(setup, m, c):
+    """``rept_run`` feeds every processor of the plan in one loop; each
+    state equals the fan-out's unit, ``rept_processor``, run alone on
+    the processor's bucket under its group's seed."""
+    seed = 77
+    run = rept_run(setup.stream, m, c, seed, track_local=True)
+    want = [
+        rept_processor(setup.stream, m, i, group_seed, track_eta=c > m, track_local=True)
+        for group_seed, n in rept_groups(m, c, seed) for i in range(n)
+    ]
+    got = [(p.tau, p.eta, p.tau_v, p.eta_v, p.n_sampled()) for p in run["procs"]]
+    assert got == [(r["tau"], r["eta"], r["tau_v"], r["eta_v"], r["n_sampled"]) for r in want]
+    assert (sum(p.eta for p in run["procs"]) > 0) == (c > m)
 
 
 @pytest.mark.parametrize("c", [250, 305], ids=["alg1", "alg2"])

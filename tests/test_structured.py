@@ -126,8 +126,8 @@ def test_c_gt_m_equals_rept_run(spark, small, tmp_path, m, c, n_files):
     )
     run = rept_run(small, m, c, seed)
     assert res["proc"].tolist() == list(range(c))
-    assert res["tau"].tolist() == [p["tau"] for p in run["procs"]]
-    assert res["eta"].tolist() == [p["eta"] for p in run["procs"]]
+    assert res["tau"].tolist() == [p.tau for p in run["procs"]]
+    assert res["eta"].tolist() == [p.eta for p in run["procs"]]
     assert res["eta"].sum() > 0
     got = rept_estimate(res["tau"], res["eta"].sum(), m, c)
     assert got["tau_hat"] == run["tau_hat"]
@@ -227,7 +227,7 @@ def test_restart_and_replay(spark, small, tmp_path):
             )
             return list(zip(res["tau"], res["eta"]))
 
-        expected = [(p["tau"], p["eta"]) for p in rept_run(small, m, c, seed)["procs"]]
+        expected = [(p.tau, p.eta) for p in rept_run(small, m, c, seed)["procs"]]
         third = _stage(small, d)
         counts()
         shutil.move(third, d / "in")
