@@ -4,9 +4,9 @@ REPT vs parallel MASCOT / Trièst / GPS, at fixed p = 1/m, sweeping the
 processor count c. REPT runs through the closed-form evaluator (many
 hash seeds at once); MASCOT through its closed-form trial pool; Trièst
 and GPS have no batch shortcut and run as pooled sequential trials on
-the streaming engine (budget p|E|, and p|E|/2 for GPS per the paper's
-memory accounting). Pools are chunked into parallel-c estimates, so one
-pool serves the whole c sweep.
+the streaming engine, both pools in one fan-out per dataset (budget
+p|E|, and p|E|/2 for GPS per the paper's memory accounting). Pools are
+chunked into parallel-c estimates, so one pool serves the whole c sweep.
 """
 from __future__ import annotations
 
@@ -19,8 +19,9 @@ from repro.core.estimators import nrmse
 from repro.core.hashing import mix_seeds
 from repro.experiments.common import (
     baseline_budgets, check_harness, dataset_seed, get_tables, profile_datasets, save_result,
+    trials_by_method,
 )
-from repro.stream.engine import global_estimates, pooled_parallel_estimates, run_stream_trials
+from repro.stream.engine import pooled_parallel_estimates
 
 DEFAULT_METHODS = ("rept", "mascot", "triest", "gps")
 
@@ -60,15 +61,13 @@ def run_global_nrmse(
         if "mascot" in methods:
             seeds = [mix_seeds(base, 1, i) for i in range(3 * r_pool * c_max)]
             pools["mascot"] = mascot_trial_estimates(spark, t, p, seeds)
-        for meth, budget_m in zip(("triest", "gps"), budgets):
-            if meth not in methods:
-                continue
-            specs = [
-                {"method": meth, "budget": budget_m, "seed": mix_seeds(base, 2 if meth == "triest" else 3, i)}
-                for i in range(r_pool * c_max)
-            ]
-            trials = run_stream_trials(spark, t.stream, specs)
-            pools[meth] = global_estimates(trials)["est"].to_numpy()
+        specs = [
+            {"method": meth, "budget": budget_m, "seed": mix_seeds(base, 2 + (meth == "gps"), i)}
+            for meth, budget_m in zip(("triest", "gps"), budgets) if meth in methods
+            for i in range(r_pool * c_max)
+        ]
+        for meth, trials in trials_by_method(spark, t.stream, specs).items():
+            pools[meth] = trials["est"].to_numpy()
 
         for c in c_list:
             if "rept" in methods:

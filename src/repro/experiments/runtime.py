@@ -1,10 +1,11 @@
 """Figure 7 — runtime of the four parallel methods vs p, at c = 10.
 
-Each method's c = 10 processors run in one Spark fan-out, as many at a
-time as there are cores; the reported time is the max per-processor loop
-time (the parallel wall-clock of the paper's model, independent of
-scheduler noise). The paper's shape: REPT ≈ parallel MASCOT, 2–4×
-faster than parallel Trièst, 4–10× faster than parallel GPS.
+Each (graph, p) cell runs the four methods' c = 10 processors in one
+Spark fan-out, as many at a time as there are cores; the reported time
+is the max per-processor loop time (the parallel wall-clock of the
+paper's model, independent of scheduler noise). The paper's shape:
+REPT ≈ parallel MASCOT, 2–4× faster than parallel Trièst, 4–10× faster
+than parallel GPS.
 """
 from __future__ import annotations
 
@@ -13,10 +14,9 @@ from pyspark.sql import SparkSession
 
 from repro.core.hashing import mix_seeds
 from repro.experiments.common import (
-    baseline_budgets, check_harness, dataset_seed, profile_datasets, save_result,
+    baseline_budgets, check_harness, dataset_seed, profile_datasets, save_result, trials_by_method,
 )
 from repro.graphs.datasets import load_stream
-from repro.stream.engine import global_estimates, run_stream_trials
 
 DEFAULT_P_INVS = (100, 50, 20, 10)
 
@@ -51,9 +51,9 @@ def run_runtime(
                 + [{"method": "gps", "budget": gps_budget, "seed": mix_seeds(base, 3, i)}
                    for i in range(c)]
             )
-            trials = global_estimates(run_stream_trials(spark, stream, specs))
-            trials = trials.assign(method=[spec["method"] for spec in specs])
-            for meth, grp in trials.groupby("method"):
+            cell = trials_by_method(spark, stream, specs)
+            for meth in sorted(cell):
+                grp = cell[meth]
                 rows.append(
                     {
                         "graph": name,

@@ -3,7 +3,8 @@ the same total memory (MASCOT-S at probability c·p; Trièst-S / GPS-S at
 budget c·p·|E|, GPS halved), on the Flickr analog.
 
 Reported per (c, method): wall-clock (max per-processor loop time for
-REPT, the single loop time for the -S baselines) and global NRMSE. The
+REPT, MASCOT-S's one loop, the mean loop of the Trièst-S / GPS-S trials)
+and global NRMSE. Each c runs its loops as one Spark fan-out. The
 paper's shape: REPT is up to two orders of magnitude faster with
 comparable error (GPS-S worse on both).
 """
@@ -16,9 +17,8 @@ from repro.core.closed_form import mascot_trial_estimates, rept_global_runs
 from repro.core.estimators import nrmse
 from repro.core.hashing import mix_seeds, rept_groups
 from repro.experiments.common import (
-    baseline_budgets, check_harness, dataset_seed, get_tables, save_result,
+    baseline_budgets, check_harness, dataset_seed, get_tables, save_result, trials_by_method,
 )
-from repro.stream.engine import global_estimates, run_stream_trials
 
 
 def run_single_thread(
@@ -43,49 +43,34 @@ def run_single_thread(
     for c in c_list:
         p_s = min(1.0, c * p)
         budgets_s = baseline_budgets(c * p, n_edges)
-
-        # REPT: c concurrent processors; runtime = max processor time.
-        # For c > m the other groups repeat the same per-processor work —
-        # wall-clock is still one processor's loop; time the first group.
+        # One fan-out per c. REPT: c concurrent processors, runtime = max
+        # processor time; for c > m the other groups repeat the same
+        # per-processor work, so time the first group. MASCOT-S: one
+        # processor at probability c·p. Trièst-S and GPS-S: sequential
+        # trials for both time and error.
         group_seed, n = rept_groups(m, c, mix_seeds(base, 0, c))[0]
-        specs = [
-            {"method": "rept", "m": m, "proc": i, "seed": group_seed, "track_eta": c > m}
-            for i in range(n)
-        ]
-        rt = global_estimates(run_stream_trials(spark, t.stream, specs))
-        seeds = [mix_seeds(base, 4, c, i) for i in range(r_rept)]
-        est = rept_global_runs(spark, t, m, c, seeds)["tau_hat"].to_numpy()
-        rows.append(
-            {"dataset": dataset, "p": p, "c": c, "method": "rept",
-             "time_s": rt["elapsed"].max(), "nrmse": nrmse(est, t.tau)}
+        specs = (
+            [{"method": "rept", "m": m, "proc": i, "seed": group_seed, "track_eta": c > m}
+             for i in range(n)]
+            + [{"method": "mascot", "p": p_s, "seed": mix_seeds(base, 1, c)}]
+            + [{"method": meth, "budget": budget, "seed": mix_seeds(base, 6, c, meth == "gps", i)}
+               for meth, budget in zip(("triest", "gps"), budgets_s) for i in range(r_err)]
         )
-
-        # MASCOT-S: one processor at probability c·p.
-        sm_seed = mix_seeds(base, 1, c)
-        rt = global_estimates(
-            run_stream_trials(
-                spark, t.stream, [{"method": "mascot", "p": p_s, "seed": sm_seed}]
-            )
-        )
-        est = mascot_trial_estimates(
+        cell = trials_by_method(spark, t.stream, specs)
+        rept_est = rept_global_runs(
+            spark, t, m, c, [mix_seeds(base, 4, c, i) for i in range(r_rept)]
+        )["tau_hat"].to_numpy()
+        mascot_est = mascot_trial_estimates(
             spark, t, p_s, [mix_seeds(base, 5, c, i) for i in range(r_err)]
         )
-        rows.append(
-            {"dataset": dataset, "p": p, "c": c, "method": "mascot_s",
-             "time_s": rt["elapsed"].max(), "nrmse": nrmse(est, t.tau)}
-        )
-
-        # Trièst-S and GPS-S: sequential trials for both time and error.
-        for meth, budget in zip(("triest", "gps"), budgets_s):
-            specs = [
-                {"method": meth, "budget": budget, "seed": mix_seeds(base, 6, c, meth == "gps", i)}
-                for i in range(r_err)
-            ]
-            tr = global_estimates(run_stream_trials(spark, t.stream, specs))
-            rows.append(
-                {"dataset": dataset, "p": p, "c": c, "method": f"{meth}_s",
-                 "time_s": tr["elapsed"].mean(), "nrmse": nrmse(tr["est"].to_numpy(), t.tau)}
-            )
+        for meth, time_s, est in [
+            ("rept", cell["rept"]["elapsed"].max(), rept_est),
+            ("mascot_s", cell["mascot"]["elapsed"].max(), mascot_est),
+            ("triest_s", cell["triest"]["elapsed"].mean(), cell["triest"]["est"].to_numpy()),
+            ("gps_s", cell["gps"]["elapsed"].mean(), cell["gps"]["est"].to_numpy()),
+        ]:
+            rows.append({"dataset": dataset, "p": p, "c": c, "method": meth,
+                         "time_s": time_s, "nrmse": nrmse(est, t.tau)})
     out = pd.DataFrame(rows)
     rept_time = out[out["method"] == "rept"].set_index("c")["time_s"]
     out["speedup_vs_rept"] = out.apply(

@@ -12,12 +12,17 @@ import repro.experiments.global_nrmse as global_nrmse
 import repro.experiments.local_nrmse as local_nrmse
 import repro.experiments.runtime as runtime
 import repro.experiments.single_thread as single_thread
+from repro.core.closed_form import mascot_trial_estimates, rept_global_runs
+from repro.core.estimators import nrmse
+from repro.core.hashing import mix_seeds
 from repro.experiments.fig1 import run_fig1
 from repro.experiments.global_nrmse import run_global_nrmse
 from repro.experiments.local_nrmse import run_local_nrmse
 from repro.experiments.runtime import run_runtime
 from repro.experiments.single_thread import run_single_thread
 from repro.experiments.table2 import run_table2
+from repro.stream.gps import gps_processor
+from repro.stream.triest import triest_processor
 from tests.helpers import SMALL_SCALE
 
 DS = ["YouTube", "Flickr"]
@@ -139,6 +144,59 @@ def test_single_thread(spark):
     assert np.isfinite(out["nrmse"]).all()
 
 
+def test_global_nrmse_runs_one_fanout_per_dataset(spark, job_group):
+    # The Trièst and GPS pools share one fan-out; REPT and MASCOT start none.
+    out = run_global_nrmse(
+        spark, p_inv=5, c_list=[2, 5], datasets=["YouTube"], r_rept=2, r_pool=2,
+        scale=SMALL_SCALE,
+    )
+    assert list(out["method"]) == ["rept", "mascot", "triest", "gps"] * 2
+    assert job_group()[0] == 1
+
+
+def test_runtime_runs_one_fanout_per_p(spark, job_group):
+    out = run_runtime(spark, c=2, p_invs=(10, 5), datasets=["YouTube"], scale=SMALL_SCALE)
+    assert list(out["method"]) == ["gps", "mascot", "rept", "triest"] * 2
+    assert job_group()[0] == 2
+
+
+def test_single_thread_runs_one_fanout_per_c(spark, job_group):
+    out = run_single_thread(
+        spark, dataset="YouTube", p_inv=10, c_list=[2, 4], r_err=2, r_rept=2, scale=SMALL_SCALE,
+    )
+    assert list(out["method"]) == ["rept", "mascot_s", "triest_s", "gps_s"] * 2
+    assert job_group()[0] == 2
+
+
+def test_single_thread_nrmse_equals_recomputation(spark, tables_for):
+    """Each Fig 8 NRMSE, recomputed at the harness's seeds: the closed
+    form for REPT and MASCOT-S, the sequential processors for Trièst-S and
+    GPS-S (`==`)."""
+    p_inv, c_list, r_err, r_rept = 10, [2, 12], 3, 4
+    out = run_single_thread(
+        spark, dataset="YouTube", p_inv=p_inv, c_list=c_list, r_err=r_err, r_rept=r_rept,
+        scale=SMALL_SCALE,
+    )
+    t = tables_for("YouTube")
+    base = common.dataset_seed(7, "YouTube", p_inv, 8888)
+    want = []
+    for c in c_list:
+        budgets = common.baseline_budgets(c / p_inv, t.stream.n_edges)
+        rept = rept_global_runs(
+            spark, t, p_inv, c, [mix_seeds(base, 4, c, i) for i in range(r_rept)]
+        )
+        mascot = mascot_trial_estimates(
+            spark, t, min(1.0, c / p_inv), [mix_seeds(base, 5, c, i) for i in range(r_err)]
+        )
+        want += [nrmse(rept["tau_hat"].to_numpy(), t.tau), nrmse(mascot, t.tau)]
+        for gps, (run, budget) in enumerate(zip((triest_processor, gps_processor), budgets)):
+            est = [run(t.stream, budget, mix_seeds(base, 6, c, bool(gps), i))["tau_hat"]
+                   for i in range(r_err)]
+            want.append(nrmse(np.array(est, dtype=np.float64), t.tau))
+    assert list(out["c"]) == [c for c in c_list for _ in range(4)]
+    assert list(out["nrmse"]) == want
+
+
 # Valid calls, each changed by one bad parameter below.
 HARNESSES = {
     "global": (run_global_nrmse, dict(p_inv=10, c_list=[2], datasets=["YouTube"], r_rept=2,
@@ -160,7 +218,7 @@ BAD_PARAMETERS = [
     *[(h, {"datasets": bad}) for h in ("global", "local", "runtime") for bad in ([], ["Nope"])],
     ("single", {"dataset": "Nope"}),
     *[(h, {"methods": bad}) for h in ("global", "local") for bad in ((), ("rept", "nope"))],
-    ("local", {"methods": ("gps",)}),
+    *[("local", {"methods": bad}) for bad in (("gps",), ("triest", "gps"))],
     *[("runtime", kw) for kw in ({"p_invs": ()}, {"p_invs": (10, 2.5)}, {"c": 0}, {"c": 2.5},
                                  {"c": 11}, {"p_invs": (10, 1)})],
 ]

@@ -92,5 +92,7 @@ def test_closed_form_rows_equal_committed(spark, name):
 @pytest.mark.parametrize("name", GATE)
 def test_stream_rows_equal_committed(spark, name):
     """Trièst and GPS rows of the YouTube analog, from the simulators'
-    Spark fan-out, equal the committed CSV bit for bit."""
-    _assert_rows_equal_committed(spark, name, ("triest", "gps"))
+    Spark fan-out, equal the committed CSV bit for bit. Figs 5/6 run no
+    GPS, and their harness refuses a method it does not run."""
+    methods = ("triest",) if name.startswith("local") else ("triest", "gps")
+    _assert_rows_equal_committed(spark, name, methods)
