@@ -26,7 +26,8 @@ the caller set ``spark.sql.streaming.checkpointFileManagerClass``
 End-of-stream counts equal the sequential simulator at the same
 (m, c, seed) (``tests/test_structured.py``). Batches must arrive in
 stream order: one whose first ``t`` is not after the last ``t`` of the
-batches before it fails the query.
+batches before it fails the query, as does one that repeats a ``t`` or
+fails ``check_stream``; an edge repeated in a later batch is not caught.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.hashing import is_int, rept_groups
+from repro.graphs.datasets import Stream, check_stream
 from repro.stream.rept import ProcessorState, feed_plan
 
 EDGE_SCHEMA = "t LONG, a LONG, b LONG, k LONG"
@@ -76,16 +78,20 @@ def write_stream_files(pdf: pd.DataFrame, out_dir: str, n_files: int = 3) -> lis
 def _feed(
     state: dict, pdf: pd.DataFrame, batch_id: int, m: int, plan: list[tuple[int, int]]
 ) -> None:
-    """Run the processors of every group in ``plan`` over one micro-batch,
-    in stream order."""
+    """Run the processors of every group in ``plan`` over one checked
+    micro-batch (see the module docstring), in stream order."""
     pdf = pdf.sort_values("t")
-    t_first = int(pdf["t"].iloc[0])
-    if t_first <= state["t_max"]:
-        raise ValueError(f"micro-batch {batch_id} starts at t={t_first}, not after "
+    t = pdf["t"].to_numpy()
+    if t[0] <= state["t_max"]:
+        raise ValueError(f"micro-batch {batch_id} starts at t={t[0]}, not after "
                          f"t={state['t_max']}: files must arrive in stream order")
-    feed_plan(state["procs"], pdf["a"].tolist(), pdf["b"].tolist(),
-              pdf["k"].to_numpy().view(np.uint64), m, plan)
-    state["t_max"] = int(pdf["t"].iloc[-1])
+    if np.any(np.diff(t) == 0):
+        raise ValueError(f"micro-batch {batch_id} repeats an arrival position t")
+    batch = Stream(f"micro-batch {batch_id}", pdf["a"].to_numpy(), pdf["b"].to_numpy(),
+                   pdf["k"].to_numpy().view(np.uint64))
+    check_stream(batch)
+    feed_plan(state["procs"], batch.u.tolist(), batch.v.tolist(), batch.k, m, plan)
+    state["t_max"] = int(t[-1])
 
 
 def rept_structured_counts(

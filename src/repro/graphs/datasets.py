@@ -6,9 +6,9 @@ multiplies node/edge counts so tests can run tiny instances of the same
 shapes the reproduced results use.
 
 ``load_stream`` returns the numpy arrays every engine consumes (cached
-as ``.npz`` under ``.data/``); ``edge_stream_df`` wraps them as a Spark
-DataFrame ``(t, a, b, k)`` with ``a < b`` and ``k`` the canonical edge
-key. The paper's true statistics are kept alongside for EXPERIMENTS.md.
+as ``.npz`` under ``.data/``), ``check_stream`` their invariants, and
+``edge_stream_df`` a Spark DataFrame ``(t, a, b, k)`` of them. The
+paper's true statistics are kept alongside for EXPERIMENTS.md.
 """
 from __future__ import annotations
 
@@ -65,22 +65,40 @@ _CACHE_DIR = os.environ.get(
 
 @dataclass(frozen=True)
 class Stream:
-    """An edge stream: arrival position ``t``, canonical endpoints
-    ``u < v``, and precomputed canonical edge keys ``k`` (uint64)."""
+    """An edge stream in arrival order; :func:`check_stream` states its invariants."""
 
     name: str
-    t: np.ndarray
     u: np.ndarray
     v: np.ndarray
     k: np.ndarray
 
     @property
+    def t(self) -> np.ndarray:
+        """Arrival positions ``0 … |E|−1``: an edge's index is its position."""
+        return np.arange(self.n_edges)
+
+    @property
     def n_edges(self) -> int:
-        return len(self.t)
+        return len(self.u)
 
     @property
     def n_nodes(self) -> int:
         return len(np.unique(np.concatenate([self.u, self.v])))
+
+
+def check_stream(stream: Stream) -> None:
+    """Raise ``ValueError`` unless ``u``, ``v``, ``k`` have one length,
+    0 ≤ u < v < 2^32, ``k == edge_key(u, v)`` as ``uint64`` and no key
+    repeats: every count assumes it (DESIGN.md §2)."""
+    u, v, k = stream.u, stream.v, stream.k
+    if not len(u) == len(v) == len(k):
+        raise ValueError(f"{stream.name}: u, v and k differ in length")
+    if not np.all((0 <= u) & (u < v) & (v < 2**32)):
+        raise ValueError(f"{stream.name}: edges must have 0 <= u < v < 2^32")
+    if k.dtype != np.uint64 or not np.array_equal(k, edge_key(u, v)):
+        raise ValueError(f"{stream.name}: keys k must be edge_key(u, v) as uint64")
+    if len(np.unique(k)) != len(k):
+        raise ValueError(f"{stream.name}: an edge arrives more than once")
 
 
 def _generate(name: str, scale: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,33 +124,25 @@ def _generate(name: str, scale: float, seed: int) -> tuple[np.ndarray, np.ndarra
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def _read_cache(path: str) -> tuple[np.ndarray, ...] | None:
-    """The arrays ``(t, u, v, k)`` of a cached stream, or None when the
-    file is missing, unreadable or inconsistent (then it is regenerated):
-    ``t`` must be ``0 … n−1``, every edge canonical (u < v) and ``k`` its
-    key, as :func:`repro.graphs.exact.build_tables` requires."""
+def _read_cache(name: str, path: str) -> Stream | None:
+    """The cached stream, or None when the file is missing, unreadable or
+    fails :func:`check_stream` (then it is regenerated)."""
     try:
         with np.load(path) as z:
-            t, u, v, k = (z[key] for key in ("t", "u", "v", "k"))
+            stream = Stream(name, *(z[key] for key in ("u", "v", "k")))
+        check_stream(stream)
     except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile, zlib.error):
         return None
-    if (
-        not len(t) == len(u) == len(v) == len(k)
-        or not np.array_equal(t, np.arange(len(t)))
-        or np.any(u >= v)
-        or not np.array_equal(k, edge_key(u, v))
-    ):
-        return None
-    return t, u, v, k
+    return stream
 
 
-def _write_cache(path: str, t, u, v, k) -> None:
+def _write_cache(path: str, stream: Stream) -> None:
     """Write atomically, so a reader never sees a partial file."""
     os.makedirs(_CACHE_DIR, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            np.savez_compressed(f, t=t, u=u, v=v, k=k)
+            np.savez_compressed(f, u=stream.u, v=stream.v, k=stream.k)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -149,15 +159,14 @@ def load_stream(name: str, scale: float = 1.0, seed: int = 7, cache: bool = True
     """
     digest = hashlib.md5(repr(sorted(CONFIGS[name].items())).encode()).hexdigest()[:8]
     path = os.path.join(_CACHE_DIR, f"{name}_s{scale}_r{seed}_{digest}.npz")
-    cached = _read_cache(path) if cache else None
+    cached = _read_cache(name, path) if cache else None
     if cached is not None:
-        return Stream(name, *cached)
-    u, v = _generate(name, scale, seed)
-    t, u, v = gen.to_stream(u, v, seed=seed + 1)
-    k = edge_key(u, v)
+        return cached
+    u, v = gen.to_stream(*_generate(name, scale, seed), seed=seed + 1)
+    stream = Stream(name, u, v, edge_key(u, v))
     if cache:
-        _write_cache(path, t, u, v, k)
-    return Stream(name, t, u, v, k)
+        _write_cache(path, stream)
+    return stream
 
 
 def stream_pdf(stream: Stream) -> pd.DataFrame:

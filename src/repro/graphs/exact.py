@@ -27,7 +27,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.graphs.datasets import Stream, edge_stream_df
+from repro.graphs.datasets import Stream, check_stream, edge_stream_df
 
 
 def triangle_df(edges: DataFrame) -> DataFrame:
@@ -156,14 +156,8 @@ def enumerate_triangles(stream: Stream) -> tuple[np.ndarray, np.ndarray]:
 
     Each triangle x < y < z is found once, as the wedge of edge (x, y)
     and a forward edge (y, z) (forward: to a larger vertex id), closed by
-    a binary search for (x, z) among the sorted edges. Raises
-    ``ValueError`` unless every edge is canonical (u < v) and no edge
-    key repeats: either would make the count wrong.
-    """
-    if np.any(stream.u >= stream.v):
-        raise ValueError("stream edges must be canonical, u < v")
-    if len(np.unique(stream.k)) != stream.n_edges:
-        raise ValueError("stream edge keys must not repeat")
+    a binary search for (x, z) among the sorted edges of a stream that
+    passes :func:`check_stream`."""
     nodes, ends = np.unique(np.concatenate([stream.u, stream.v]), return_inverse=True)
     n = len(nodes)
     a, b = ends.reshape(2, -1)
@@ -224,13 +218,12 @@ class TriangleTables:
 def build_tables(spark: SparkSession, stream: Stream) -> TriangleTables:
     """Enumerate the triangles of ``stream`` once, on the driver, and
     compute τ and η = Σ_g C(n_g, 2) from them (n_g: the triangles in
-    which edge g is not the last edge). Starts no Spark job."""
-    if not np.array_equal(stream.t, np.arange(stream.n_edges)):
-        raise ValueError("stream positions t must be 0..|E|-1 in arrival order")
+    which edge g is not the last edge). Starts no Spark job; raises
+    ``ValueError`` for a stream :func:`check_stream` refuses."""
+    check_stream(stream)
     pos, verts = enumerate_triangles(stream)
-    n_g = np.bincount(pos[:, 0], minlength=stream.n_edges) + np.bincount(
-        pos[:, 1], minlength=stream.n_edges
-    )
+    n_g = (np.bincount(pos[:, 0], minlength=stream.n_edges)
+           + np.bincount(pos[:, 1], minlength=stream.n_edges))
     eta = int((n_g * (n_g - 1) // 2).sum())
     return TriangleTables(spark, stream, len(pos), eta, TriangleIndex.of(stream, pos, verts))
 

@@ -153,12 +153,8 @@ def planted_cliques(
     return _dedup_canonical(np.concatenate(us), np.concatenate(vs))
 
 
-def to_stream(
-    u: np.ndarray, v: np.ndarray, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assign a uniformly random arrival order: returns ``(t, u, v)``
-    with ``t = 0..|E|−1`` and edges permuted accordingly.
-    """
-    g = np.random.default_rng(seed)
-    perm = g.permutation(len(u))
-    return np.arange(len(u), dtype=np.int64), u[perm], v[perm]
+def to_stream(u: np.ndarray, v: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """A uniformly random arrival order: ``(u, v)`` permuted, so an edge's
+    index is its arrival position."""
+    perm = np.random.default_rng(seed).permutation(len(u))
+    return u[perm], v[perm]

@@ -30,7 +30,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.hashing import check_budget, check_mascot, check_rept, is_int
-from repro.graphs.datasets import Stream
+from repro.graphs.datasets import Stream, check_stream
 from repro.stream.gps import gps_processor
 from repro.stream.mascot import mascot_processor
 from repro.stream.rept import rept_processor
@@ -97,7 +97,8 @@ def run_stream_trials(
 ) -> pd.DataFrame:
     """Run every spec over the broadcast stream, one Spark task per core;
     returns the concatenated output rows (see module docstring) as
-    pandas. Raises ``ValueError`` for a bad spec before any job starts."""
+    pandas. Raises ``ValueError`` for a bad spec or stream before any job."""
+    check_stream(stream)
     if not specs:
         return pd.DataFrame(columns=_COLUMNS).astype(_DTYPES)
     for spec in specs:
@@ -108,17 +109,13 @@ def run_stream_trials(
     n = min(len(specs), sc.defaultParallelism)
     trials = list(enumerate(specs))
     slices = [trials[i::n] for i in range(n)]
-    bc = sc.broadcast(
-        {"name": stream.name, "t": stream.t, "u": stream.u, "v": stream.v, "k": stream.k}
-    )
+    bc = sc.broadcast(stream)
 
     def _run_slices(part: Iterable[list[tuple[int, dict]]]) -> Iterator[tuple]:
         _drop_zip_finders()
-        d = bc.value
-        s = Stream(d["name"], d["t"], d["u"], d["v"], d["k"])
         for chunk in part:
             for trial, spec in chunk:
-                est, eta, r, loc, loc_eta = _run_one(s, spec, track_local)
+                est, eta, r, loc, loc_eta = _run_one(bc.value, spec, track_local)
                 yield (trial, -1, est, eta, r["n_sampled"], r["elapsed"])
                 if track_local:
                     for v, est in loc.items():
@@ -134,8 +131,7 @@ def run_stream_trials(
 
 def global_estimates(trials: pd.DataFrame) -> pd.DataFrame:
     """The ``v = −1`` rows of :func:`run_stream_trials` (one per trial)."""
-    out = trials[trials["v"] == -1].set_index("trial").sort_index()
-    return out
+    return trials[trials["v"] == -1].set_index("trial").sort_index()
 
 
 def _check_c(c: int) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.estimators import rept_estimate
 from repro.core.hashing import bucket, check_rept, rept_groups
-from repro.graphs.datasets import Stream
+from repro.graphs.datasets import Stream, check_stream
 
 
 @dataclass
@@ -148,9 +148,9 @@ def rept_run(
     :func:`feed_plan` and combines them with :func:`rept_estimate`
     (Algorithm 1 or 2, Graybill–Deal included); local estimates are
     sparse dicts. ``procs`` holds the c :class:`ProcessorState`s in plan
-    order.
-    """
+    order. Raises ``ValueError`` for a bad (m, c, seed) or stream."""
     plan = rept_groups(m, c, seed)
+    check_stream(stream)
     procs = [ProcessorState() for _ in range(c)]
     feed_plan(procs, stream.u.tolist(), stream.v.tolist(), stream.k, m, plan, track_local)
     out = rept_estimate([p.tau for p in procs], sum(p.eta for p in procs), m, c)

@@ -3,6 +3,7 @@ dataset access (cached across test modules via the experiments cache).
 """
 from __future__ import annotations
 
+import dataclasses
 from collections import defaultdict
 
 import numpy as np
@@ -28,8 +29,43 @@ def tiny_stream(n_nodes: int = 40, n_edges: int = 160, seed: int = 0) -> Stream:
     lo, hi = lo[idx][:n_edges], hi[idx][:n_edges]
     perm = g.permutation(len(lo))
     lo, hi = lo[perm], hi[perm]
-    t = np.arange(len(lo), dtype=np.int64)
-    return Stream("tiny", t, lo.astype(np.int64), hi.astype(np.int64), edge_key(lo, hi))
+    return Stream("tiny", lo.astype(np.int64), hi.astype(np.int64), edge_key(lo, hi))
+
+
+def _repeated_edge(s):
+    """The first edge arrives again at the end."""
+    return dataclasses.replace(s, **{f: np.append(getattr(s, f), getattr(s, f)[0]) for f in "uvk"})
+
+
+def _wrong_key(s):
+    k = s.k.copy()
+    k[0] += np.uint64(1)
+    return dataclasses.replace(s, k=k)
+
+
+def _not_canonical(s):
+    """The first edge as (v, u); its key is unchanged (edge_key is
+    symmetric)."""
+    u, v = s.u.copy(), s.v.copy()
+    u[0], v[0] = v[0], u[0]
+    return dataclasses.replace(s, u=u, v=v)
+
+
+def _shifted(s, by):
+    """Every node id moved by ``by``, keys recomputed."""
+    u, v = s.u + by, s.v + by
+    return dataclasses.replace(s, u=u, v=v, k=edge_key(u, v))
+
+
+#: name → the bad stream made from a good one; each breaks one invariant.
+BAD_STREAMS = {
+    "repeated_edge": _repeated_edge,
+    "wrong_key": _wrong_key,
+    "u>=v": _not_canonical,
+    "negative_id": lambda s: _shifted(s, -int(s.u.min()) - 1),
+    "id>=2^32": lambda s: _shifted(s, 2**32 - int(s.v.max())),
+    "length_mismatch": lambda s: dataclasses.replace(s, k=s.k[:-1]),
+}
 
 
 def brute_force(stream: Stream) -> dict:

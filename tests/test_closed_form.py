@@ -1,7 +1,6 @@
 """Input validation at the entry points of the closed-form evaluator."""
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.core.closed_form import (
@@ -11,13 +10,7 @@ from repro.core.closed_form import (
     rept_local_runs,
 )
 from repro.graphs.exact import build_tables
-from tests.helpers import tiny_stream
-
-
-def _with_repeated_edge(s):
-    """``s`` with its first edge arriving again at the end."""
-    again = {f: np.append(getattr(s, f), getattr(s, f)[0]) for f in "uvk"}
-    return dataclasses.replace(s, t=np.arange(s.n_edges + 1), **again)
+from tests.helpers import BAD_STREAMS, tiny_stream
 
 
 # Each call is rejected before it touches the session or the tables.
@@ -29,13 +22,10 @@ BAD_CALLS = {
     "p>1": lambda: mascot_local_trial_counts(None, None, 1.5, [1]),
     "no_trials": lambda: mascot_trial_estimates(None, None, 0.5, []),
     "no_local_trials": lambda: mascot_local_trial_counts(None, None, 0.5, []),
-    "t_not_positions": lambda: build_tables(
-        None, dataclasses.replace(tiny_stream(), t=tiny_stream().t[::-1].copy())
-    ),
     "u>=v": lambda: build_tables(
         None, dataclasses.replace(tiny_stream(), u=tiny_stream().v, v=tiny_stream().u)
     ),
-    "repeated_key": lambda: build_tables(None, _with_repeated_edge(tiny_stream())),
+    "repeated_key": lambda: build_tables(None, BAD_STREAMS["repeated_edge"](tiny_stream())),
 }
 _REPT = {"rept_global_runs": rept_global_runs, "rept_local_runs": rept_local_runs}
 _MASCOT = {"mascot_trial_estimates": mascot_trial_estimates,

@@ -10,6 +10,7 @@ from repro.graphs.datasets import (
     load_stream,
     stream_pdf,
 )
+from tests.helpers import BAD_STREAMS
 
 
 @pytest.mark.parametrize("name", DATASETS)
@@ -56,9 +57,7 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert (s1.u == s2.u).all() and (s1.k == s2.k).all()
 
 
-@pytest.mark.parametrize(
-    "damage", ["truncated", "wrong_keys", "swapped_endpoints", "t_not_arange"]
-)
+@pytest.mark.parametrize("damage", ["truncated", "wrong_keys", "swapped_endpoints", *BAD_STREAMS])
 def test_bad_cache_is_regenerated(tmp_path, monkeypatch, damage):
     import repro.graphs.datasets as ds
 
@@ -69,12 +68,13 @@ def test_bad_cache_is_regenerated(tmp_path, monkeypatch, damage):
     if damage == "truncated":
         path.write_bytes(good[:-3])
     elif damage == "wrong_keys":
-        np.savez_compressed(path, t=s1.t, u=s1.u, v=s1.v, k=s1.k[::-1])
+        np.savez_compressed(path, u=s1.u, v=s1.v, k=s1.k[::-1])
     elif damage == "swapped_endpoints":
         # Same keys (edge_key is symmetric), but u > v: not canonical.
-        np.savez_compressed(path, t=s1.t, u=s1.v, v=s1.u, k=s1.k)
+        np.savez_compressed(path, u=s1.v, v=s1.u, k=s1.k)
     else:
-        np.savez_compressed(path, t=s1.t[::-1], u=s1.u, v=s1.v, k=s1.k)
+        bad = BAD_STREAMS[damage](s1)
+        np.savez_compressed(path, u=bad.u, v=bad.v, k=bad.k)
     s2 = ds.load_stream("YouTube", scale=0.05, seed=3, cache=True)
     for field in ("t", "u", "v", "k"):
         assert (getattr(s1, field) == getattr(s2, field)).all()

@@ -200,6 +200,26 @@ class TestStatistics:
         want = t.tau * (m - 1)
         assert 0.55 < est.var() / want < 1.7
 
+    @pytest.mark.parametrize("name", ["Twitter", "LiveJournal"])
+    def test_eta_hat_bias_is_zeta_over_m(self, tables_for, spark, name):
+        """Algorithm 2's τ_(u,v) ← |N_uv| at insertion (DESIGN.md §1) also
+        counts a pair of triangles whose shared edge g is last in one of
+        them, so E[η̂] = η + ζ/m with ζ = Σ_g n_g·l_g (n_g: triangles in
+        which g is not last, l_g: those in which it is). At 2,000 seeds the
+        mean lies within 4 standard errors of η + ζ/m, and ζ/m is more than
+        8 of them, so the bound also tells the two apart."""
+        t = tables_for(name)
+        m, c, runs = 10, 25, 2000
+        t1, t2, t3 = t.index.pos
+        n_e = t.stream.n_edges
+        n_g = np.bincount(t1, minlength=n_e) + np.bincount(t2, minlength=n_e)
+        bias = (n_g * np.bincount(t3, minlength=n_e)).sum() / m
+        seeds = [20_000 + i for i in range(runs)]
+        eta_hat = rept_global_runs(spark, t, m, c, seeds)["eta_hat"].to_numpy()
+        se = eta_hat.std(ddof=1) / np.sqrt(runs)
+        assert abs(eta_hat.mean() - (t.eta + bias)) < 4 * se
+        assert bias > 8 * se
+
     def test_tiny_graph_unbiased_alg2(self, spark):
         from repro.graphs.exact import build_tables
 
