@@ -124,7 +124,9 @@ def run_stream_trials(
     try:
         rows = sc.parallelize(slices, n).mapPartitions(_run_slices).collect()
     finally:
-        bc.unpersist()
+        # destroy, not unpersist: unpersist keeps the driver's pickled
+        # copy of the stream in ``sc._temp_dir`` until the session ends.
+        bc.destroy()
     out = pd.DataFrame(rows, columns=_COLUMNS).astype(_DTYPES)
     return out.sort_values(["trial", "v"]).reset_index(drop=True)
 

@@ -108,3 +108,14 @@ def brute_force(stream: Stream) -> dict:
         "nlast": dict(nlast),
         "triangles": tris,
     }
+
+
+def variance_se(x: np.ndarray) -> float:
+    """Standard error of the sample variance s² of the i.i.d. draws ``x``,
+    from their sample kurtosis κ = m4 / m2²:
+    Var(s²) = σ⁴ (κ − (n − 3)/(n − 1)) / n."""
+    n = len(x)
+    d = x - x.mean()
+    m2 = (d * d).mean()
+    kurtosis = (d ** 4).mean() / (m2 * m2)
+    return x.var(ddof=1) * np.sqrt((kurtosis - (n - 3) / (n - 1)) / n)

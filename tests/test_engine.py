@@ -1,5 +1,6 @@
 """Tests for the Spark-parallel streaming trial driver."""
 import importlib
+import os
 import sys
 import zipfile
 import zipimport
@@ -46,6 +47,15 @@ def test_one_job_one_task_per_core(spark, yt, job_group):
     specs = [{"method": "mascot", "p": 0.3, "seed": i} for i in range(10)]
     run_stream_trials(spark, yt, specs)
     assert job_group() == (1, min(10, spark.sparkContext.defaultParallelism))
+
+
+def test_fanout_leaves_no_broadcast_file(spark, yt):
+    """The fan-out destroys its broadcast, so the driver's pickled copy of
+    the stream in the context's temp dir does not outlive the call."""
+    temp_dir = spark.sparkContext._temp_dir
+    before = set(os.listdir(temp_dir))
+    run_stream_trials(spark, yt, [{"method": "mascot", "p": 0.3, "seed": i} for i in range(4)])
+    assert set(os.listdir(temp_dir)) <= before
 
 
 def test_output_dtypes(spark, yt):

@@ -10,7 +10,7 @@ from repro.stream.gps import gps_processor
 from repro.stream.mascot import mascot_processor
 from repro.graphs.datasets import load_stream
 from repro.stream.triest import triest_processor
-from tests.helpers import brute_force
+from tests.helpers import brute_force, variance_se
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,18 @@ class TestMascot:
         est = mascot_trial_estimates(spark, yt, 1 / m, [7000 + i for i in range(600)])
         want = var_parallel_mascot(yt.tau, yt.eta, m, 1)
         assert 0.55 < est.var() / want < 1.7
+
+    def test_variance_within_4se_at_10240_trials(self, spark, tables_for):
+        """Var of 10,240 MASCOT trials at p = 1/10 lies within 4 standard
+        errors of ``var_parallel_mascot`` (c = 1), the SE taken from the
+        sample kurtosis: a two-sided bound at 99.994 % confidence for a
+        normal s²."""
+        from repro.core.estimators import var_parallel_mascot
+
+        t, m = tables_for("Twitter"), 10
+        est = mascot_trial_estimates(spark, t, 1 / m, [40_000 + i for i in range(10_240)])
+        want = var_parallel_mascot(t.tau, t.eta, m, 1)
+        assert abs(est.var(ddof=1) - want) < 4 * variance_se(est)
 
     def test_chunk_parallel_global(self):
         pool = np.arange(10, dtype=float)

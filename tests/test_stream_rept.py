@@ -7,7 +7,7 @@ import pytest
 from repro.core.closed_form import processor_counts, rept_global_runs, rept_local_runs
 from repro.core.hashing import bucket, rept_groups
 from repro.stream.rept import rept_processor, rept_run
-from tests.helpers import brute_force, tiny_stream
+from tests.helpers import brute_force, tiny_stream, variance_se
 
 CASES = [(2, 1), (2, 2), (5, 3), (5, 5), (10, 4), (10, 10)]
 SEEDS = [101, 202]
@@ -199,6 +199,20 @@ class TestStatistics:
         est = self._runs(spark, t, m, m)
         want = t.tau * (m - 1)
         assert 0.55 < est.var() / want < 1.7
+
+    @pytest.mark.parametrize("m,c", [(10, 4), (10, 10)])
+    def test_variance_within_4se_at_10k_seeds(self, tables_for, spark, m, c):
+        """Var(τ̂) of Algorithm 1 over 10⁴ seeds lies within 4 standard
+        errors of ``var_rept``, the SE taken from the sample kurtosis: a
+        two-sided bound at 99.994 % confidence for a normal s², about
+        ±6 % at the measured SE of 1.4 %. On the Twitter analog the η term
+        is 48 % of the variance at c = 4, and 0 at c = m."""
+        from repro.core.estimators import var_rept
+
+        t = tables_for("Twitter")
+        seeds = [30_000 + i for i in range(10_000)]
+        est = rept_global_runs(spark, t, m, c, seeds)["tau_hat"].to_numpy()
+        assert abs(est.var(ddof=1) - var_rept(t.tau, t.eta, m, c)) < 4 * variance_se(est)
 
     @pytest.mark.parametrize("name", ["Twitter", "LiveJournal"])
     def test_eta_hat_bias_is_zeta_over_m(self, tables_for, spark, name):
