@@ -1,18 +1,19 @@
 """Sequential per-processor REPT (paper Algorithms 1 and 2).
 
 :func:`semi_triangle_pass` is the paper's ``foreach (u,v) ∈ Π`` loop for
-one processor, shared by REPT and the MASCOT baseline
-(:mod:`repro.stream.mascot`); it resumes from a :class:`ProcessorState`,
-so a stream may be fed in pieces. :func:`feed_plan` runs it for every
-processor of a REPT group plan, for ``rept_run`` — the oracle that tests
-and the benchmark check against — and for the Structured Streaming sink
-(:mod:`repro.core.structured`), one micro-batch at a time. The NRMSE
-sweeps use the closed-form evaluator (:mod:`repro.core.closed_form`).
+one processor, shared by REPT and the MASCOT and Trièst baselines; it
+resumes from a :class:`ProcessorState`, so a stream may be fed in pieces.
+:func:`feed_plan` runs it for every processor of a REPT group plan, for
+``rept_run`` — the oracle that tests and the benchmark check against —
+and for the Structured Streaming sink (:mod:`repro.core.structured`), one
+micro-batch at a time. The NRMSE sweeps use the closed-form evaluator
+(:mod:`repro.core.closed_form`).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -40,6 +41,7 @@ class ProcessorState:
 def semi_triangle_pass(
     state: ProcessorState, u: list[int], v: list[int], held: list[bool],
     track_eta: bool = False, track_local: bool = False,
+    weights: list[float] | None = None, slots: list[int] | None = None,
 ) -> None:
     """Feed the edges ``(u[j], v[j])`` in order to ``state``. Each adds
     the semi-triangles it closes against the sample (τ, and τ_v when
@@ -47,23 +49,33 @@ def semi_triangle_pass(
     η (η_v) of Algorithm 2; then it is inserted where ``held[j]``, with
     ``τ_(u,v) ← |N_uv|`` (DESIGN.md §1). The common neighbours are
     walked only when η or τ_v is tracked. Pass the same flags on every
-    call for one state."""
+    call for one state. Trièst-IMPR also passes each edge's semi-triangle
+    ``weights`` (REPT and MASCOT count 1, in integers) and ``slots``, the
+    reservoir slot of each insertion in turn, for a state fed in one
+    call: an insertion into an occupied slot first evicts its edge."""
     adj = state.adj
+    get = adj.get
     tau, eta = state.tau, state.eta
     tau_v, eta_v, tau_edge = state.tau_v, state.eta_v, state.tau_edge
-    for a, b, mine in zip(u, v, held):
-        na = adj.get(a)
-        nb = adj.get(b)
+    if slots is not None:
+        # the reservoir: slot i holds the edge (res_a[i], res_b[i]), or None
+        res_a = [None] * (max(slots, default=-1) + 1)
+        res_b = res_a.copy()
+        slots = iter(slots)
+    for a, b, mine, weight in zip(u, v, held, repeat(1) if weights is None else weights):
+        na = get(a)
+        nb = get(b)
         n_common = 0
         if na and nb:
-            common = na & nb if len(na) <= len(nb) else nb & na
+            common = na & nb
             n_common = len(common)
-            tau += n_common
+            if n_common:
+                tau += weight * n_common
             if n_common and track_local:
-                tau_v[a] = tau_v.get(a, 0) + n_common
-                tau_v[b] = tau_v.get(b, 0) + n_common
+                tau_v[a] = tau_v.get(a, 0) + weight * n_common
+                tau_v[b] = tau_v.get(b, 0) + weight * n_common
                 for w in common:
-                    tau_v[w] = tau_v.get(w, 0) + 1
+                    tau_v[w] = tau_v.get(w, 0) + weight
             if n_common and track_eta:
                 for w in common:
                     kaw = (a, w) if a < w else (w, a)
@@ -78,6 +90,12 @@ def semi_triangle_pass(
                     tau_edge[kaw] = tuw + 1
                     tau_edge[kbw] = tvw + 1
         if mine:
+            if slots is not None:
+                slot = next(slots)
+                if res_a[slot] is not None:
+                    adj[res_a[slot]].discard(res_b[slot])
+                    adj[res_b[slot]].discard(res_a[slot])
+                res_a[slot], res_b[slot] = a, b
             if na is None:
                 na = adj[a] = set()
             if nb is None:

@@ -214,6 +214,19 @@ class TestStatistics:
         est = rept_global_runs(spark, t, m, c, seeds)["tau_hat"].to_numpy()
         assert abs(est.var(ddof=1) - var_rept(t.tau, t.eta, m, c)) < 4 * variance_se(est)
 
+    def test_groups_variance_within_4se_at_10k_seeds(self, tables_for, spark):
+        """Var(τ̂) of REPT at c = 2m, two full groups and no leftover,
+        over 10⁴ seeds lies within 4 standard errors of
+        ``var_rept_groups`` = τ(m − 1)/c1, the SE taken from the sample
+        kurtosis (99.994 % two-sided for a normal s²)."""
+        from repro.core.estimators import var_rept_groups
+
+        t = tables_for("Twitter")
+        m, c = 10, 20
+        seeds = [40_000 + i for i in range(10_000)]
+        est = rept_global_runs(spark, t, m, c, seeds)["tau_hat"].to_numpy()
+        assert abs(est.var(ddof=1) - var_rept_groups(t.tau, m, c // m)) < 4 * variance_se(est)
+
     @pytest.mark.parametrize("name", ["Twitter", "LiveJournal"])
     def test_eta_hat_bias_is_zeta_over_m(self, tables_for, spark, name):
         """Algorithm 2's τ_(u,v) ← |N_uv| at insertion (DESIGN.md §1) also
