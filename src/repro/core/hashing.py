@@ -80,6 +80,14 @@ def check_p(p) -> None:
         raise ValueError(f"need p in (0, 1], got p={p!r}")
 
 
+def check_scale(scale) -> None:
+    """Raise ``ValueError`` unless ``scale``, a dataset's size factor, is
+    a finite real number > 0 and not a ``bool``."""
+    if not (isinstance(scale, numbers.Real) and not isinstance(scale, bool)
+            and 0 < scale < float("inf")):
+        raise ValueError(f"need a finite scale > 0 as a real number, got {scale!r}")
+
+
 def check_mascot(p, seed) -> None:
     """Raise ``ValueError`` unless ``p`` and ``seed`` pass
     :func:`check_p` and :func:`check_seed` (one MASCOT trial)."""

@@ -1,16 +1,15 @@
-"""Shared plumbing for the experiment harnesses: dataset/table caching,
-profile knobs, seed derivation, one fan-out per figure cell, and result
-CSV output."""
+"""Shared plumbing for the experiment harnesses: parameter checks,
+dataset/table caching, seed derivation, one fan-out per figure cell,
+and result CSV output."""
 from __future__ import annotations
 
 import contextlib
-import numbers
 import os
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.hashing import is_int, mix_seeds, rept_groups
+from repro.core.hashing import check_scale, check_seed, is_int, mix_seeds, rept_groups
 from repro.graphs.datasets import DATASETS, Stream, load_stream
 from repro.graphs.exact import TriangleTables, build_tables
 from repro.stream.engine import global_estimates, run_stream_trials
@@ -22,32 +21,33 @@ RESULTS_DIR = os.environ.get(
     os.path.join(os.path.dirname(__file__), "..", "..", "..", "results"),
 )
 
-#: default dataset subset of the "small" profile (spans the η/τ range);
-#: REPRO_FULL=1 runs all eight Table II analogs.
-SMALL_DATASETS = ["Twitter", "LiveJournal", "Flickr", "YouTube"]
+#: the analogs of the committed results, spanning the η/τ range; a
+#: harness takes any of ``DATASETS``.
+DEFAULT_DATASETS = ("Twitter", "LiveJournal", "Flickr", "YouTube")
 
 
-def full_profile() -> bool:
-    return os.environ.get("REPRO_FULL", "0") == "1"
-
-
-def profile_datasets(requested: list[str] | None = None) -> list[str]:
-    if requested is not None:
-        return requested
-    return list(DATASETS) if full_profile() else list(SMALL_DATASETS)
+def check_graphs(seed, scale, datasets: list[str] | tuple[str, ...]) -> None:
+    """Raise ``ValueError``, before any graph loads, unless ``seed``
+    passes :func:`check_seed`, ``scale`` :func:`check_scale`, and
+    ``datasets`` is a non-empty list of names in ``DATASETS``."""
+    check_seed(seed)
+    check_scale(scale)
+    if len(datasets) == 0 or any(name not in DATASETS for name in datasets):
+        raise ValueError(f"need datasets among {DATASETS}, got {datasets!r}")
 
 
 def check_harness(
-    p_invs, c_list, seed, scale: float, datasets: list[str],
+    p_invs, c_list, seed, scale: float, datasets: list[str] | tuple[str, ...],
     methods=None, harness_methods=(), **runs: int,
 ) -> None:
     """Raise ``ValueError``, before a harness does any work, for the
-    parameters one of its later steps would refuse or misread: every
-    (p_inv, c) and ``seed`` through :func:`rept_groups`, the run counts
-    ``runs`` as integers ≥ 1, ``scale`` as a real > 0, the datasets as a
-    non-empty list of names in ``DATASETS`` and, when given, ``methods``
-    as a non-empty choice among ``harness_methods``, the methods the
-    harness runs (so no method is skipped silently)."""
+    parameters one of its later steps would refuse or misread: seed,
+    scale and datasets through :func:`check_graphs`, every (p_inv, c)
+    through :func:`rept_groups`, the run counts ``runs`` as integers
+    ≥ 1 and, when given, ``methods`` as a non-empty choice among
+    ``harness_methods``, the methods the harness runs (so no method is
+    skipped silently)."""
+    check_graphs(seed, scale, datasets)
     if len(p_invs) == 0 or len(c_list) == 0:
         raise ValueError(f"need at least one p_inv and one c, got {p_invs!r} and {c_list!r}")
     for p_inv in p_invs:
@@ -56,10 +56,6 @@ def check_harness(
     for name, r in runs.items():
         if not (is_int(r) and r >= 1):
             raise ValueError(f"need {name} >= 1 as an integer, got {r!r}")
-    if not (isinstance(scale, numbers.Real) and not isinstance(scale, bool) and scale > 0):
-        raise ValueError(f"need scale > 0 as a real number, got {scale!r}")
-    if len(datasets) == 0 or any(name not in DATASETS for name in datasets):
-        raise ValueError(f"need datasets among {DATASETS}, got {datasets!r}")
     if methods is not None and (len(methods) == 0
                                 or any(x not in harness_methods for x in methods)):
         raise ValueError(f"need one or more methods among {harness_methods}, got {methods!r}")

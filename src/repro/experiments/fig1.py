@@ -11,20 +11,27 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.experiments.common import get_tables, profile_datasets, save_result
+from repro.core.hashing import check_p
+from repro.experiments.common import DEFAULT_DATASETS, check_graphs, get_tables, save_result
 
 DEFAULT_PS = (0.1, 0.05, 0.02, 0.01)
 
 
 def run_fig1(
     spark: SparkSession,
-    datasets: list[str] | None = None,
+    datasets: list[str] | tuple[str, ...] = DEFAULT_DATASETS,
     ps: tuple[float, ...] = DEFAULT_PS,
     scale: float = 1.0,
     seed: int = 7,
 ) -> pd.DataFrame:
+    """One row per (dataset, p): the two variance terms and their ratio."""
+    check_graphs(seed, scale, datasets)
+    if len(ps) == 0:
+        raise ValueError("need at least one p")
+    for p in ps:
+        check_p(p)
     rows = []
-    for name in profile_datasets(datasets):
+    for name in datasets:
         t = get_tables(spark, name, scale, seed)
         for p in ps:
             term_tau = t.tau * (p**-2 - 1)

@@ -18,7 +18,7 @@ from repro.core.closed_form import mascot_trial_estimates, rept_global_runs
 from repro.core.estimators import nrmse
 from repro.core.hashing import mix_seeds
 from repro.experiments.common import (
-    baseline_budgets, check_harness, dataset_seed, get_tables, profile_datasets, save_result,
+    DEFAULT_DATASETS, baseline_budgets, check_harness, dataset_seed, get_tables, save_result,
     trials_by_method,
 )
 from repro.stream.engine import pooled_parallel_estimates
@@ -30,7 +30,7 @@ def run_global_nrmse(
     spark: SparkSession,
     p_inv: int,
     c_list: list[int],
-    datasets: list[str] | None = None,
+    datasets: list[str] | tuple[str, ...] = DEFAULT_DATASETS,
     methods: tuple[str, ...] = DEFAULT_METHODS,
     r_rept: int = 100,
     r_pool: int = 10,
@@ -45,7 +45,6 @@ def run_global_nrmse(
     ``3 × r_pool × max(c_list)`` for a less noisy REPT-vs-MASCOT
     comparison.
     """
-    datasets = profile_datasets(datasets)
     check_harness([p_inv], c_list, seed, scale, datasets, methods, DEFAULT_METHODS,
                   r_rept=r_rept, r_pool=r_pool)
     m = p_inv

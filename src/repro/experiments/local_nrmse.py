@@ -16,7 +16,7 @@ from repro.core.closed_form import mascot_local_trial_counts, rept_local_runs
 from repro.core.estimators import local_nrmse
 from repro.core.hashing import mix_seeds
 from repro.experiments.common import (
-    baseline_budgets, check_harness, dataset_seed, get_tables, profile_datasets, save_result,
+    DEFAULT_DATASETS, baseline_budgets, check_harness, dataset_seed, get_tables, save_result,
 )
 from repro.graphs.exact import local_counts
 from repro.stream.engine import pooled_parallel_local, run_stream_trials
@@ -28,7 +28,7 @@ def run_local_nrmse(
     spark: SparkSession,
     p_inv: int,
     c_list: list[int],
-    datasets: list[str] | None = None,
+    datasets: list[str] | tuple[str, ...] = DEFAULT_DATASETS,
     methods: tuple[str, ...] = DEFAULT_METHODS,
     r_rept: int = 40,
     r_pool: int = 6,
@@ -36,7 +36,6 @@ def run_local_nrmse(
     seed: int = 7,
 ) -> pd.DataFrame:
     """One row per (dataset, method, c): mean local NRMSE."""
-    datasets = profile_datasets(datasets)
     check_harness([p_inv], c_list, seed, scale, datasets, methods, DEFAULT_METHODS,
                   r_rept=r_rept, r_pool=r_pool)
     m = p_inv

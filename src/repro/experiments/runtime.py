@@ -14,7 +14,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.hashing import mix_seeds
 from repro.experiments.common import (
-    baseline_budgets, check_harness, dataset_seed, profile_datasets, save_result, trials_by_method,
+    DEFAULT_DATASETS, baseline_budgets, check_harness, dataset_seed, save_result, trials_by_method,
 )
 from repro.graphs.datasets import load_stream
 
@@ -25,12 +25,11 @@ def run_runtime(
     spark: SparkSession,
     c: int = 10,
     p_invs: tuple[int, ...] = DEFAULT_P_INVS,
-    datasets: list[str] | None = None,
+    datasets: list[str] | tuple[str, ...] = DEFAULT_DATASETS,
     scale: float = 1.0,
     seed: int = 7,
 ) -> pd.DataFrame:
     """One row per (dataset, method, p): max and total per-processor time."""
-    datasets = profile_datasets(datasets)
     check_harness(p_invs, [c], seed, scale, datasets)
     if c > min(p_invs):  # the c REPT processors hold buckets 0 … c−1 of 1/p
         raise ValueError(f"Fig 7 runs one REPT group: need c <= every p_inv, "

@@ -9,19 +9,20 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.experiments.common import get_tables, profile_datasets, save_result
+from repro.experiments.common import DEFAULT_DATASETS, check_graphs, get_tables, save_result
 from repro.graphs.datasets import PAPER_TABLE2
 
 
 def run_table2(
     spark: SparkSession,
-    datasets: list[str] | None = None,
+    datasets: list[str] | tuple[str, ...] = DEFAULT_DATASETS,
     scale: float = 1.0,
     seed: int = 7,
 ) -> pd.DataFrame:
     """One row per dataset: synthetic analog stats vs paper Table II."""
+    check_graphs(seed, scale, datasets)
     rows = []
-    for name in profile_datasets(datasets):
+    for name in datasets:
         t = get_tables(spark, name, scale, seed)
         pn, pe, pt = PAPER_TABLE2[name]
         rows.append(

@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.hashing import edge_key
+from repro.core.hashing import check_scale, edge_key
 from repro.graphs import generators as gen
 
 #: nodes / edges / triangles of the real graphs (paper Table II).
@@ -38,10 +38,11 @@ PAPER_TABLE2 = {
     "YouTube": (1_138_499, 2_990_443, 3_056_386),
 }
 
-#: generator configs at scale=1.0 (the benchmark profile). Tuned so the
-#: measured η/τ spans ~0.7–80 (the paper's real graphs span ≈11–3900;
-#: the compression at laptop scale is documented in EXPERIMENTS.md —
-#: reaching η/τ ~10³ would force τ into the tens of millions).
+#: generator configs at scale=1.0, the scale of the committed results.
+#: Tuned so the measured η/τ spans ~0.7–80 (the paper's real graphs span
+#: ≈11–3900; the compression at laptop scale is documented in
+#: EXPERIMENTS.md — reaching η/τ ~10³ would force τ into the tens of
+#: millions).
 CONFIGS: dict[str, dict] = {
     # two large overlaid communities — the biggest η/τ (~78), like Twitter
     "Twitter": dict(kind="cliques", n_cliques=2, k=100, noise_nodes=2500, noise_edges=14000),
@@ -50,7 +51,7 @@ CONFIGS: dict[str, dict] = {
     "Pokec": dict(kind="hk", n=5000, m=8, p_triad=0.12),
     # few nodes, huge triangle count (clique overlays), η/τ ~ 42
     "Flickr": dict(kind="cliques", n_cliques=12, k=55, noise_nodes=600, noise_edges=5000),
-    # hub-heavy, low clustering but high hub-edge overlap, η/τ ~ 38
+    # hub-heavy, low clustering but high hub-edge overlap, η/τ ~ 40
     "Wiki-Talk": dict(kind="hub", n=4000, n_edges=30000, alpha=1.3),
     "Web-Google": dict(kind="hk", n=4500, m=5, p_triad=0.55),
     "YouTube": dict(kind="hk", n=6000, m=3, p_triad=0.35),
@@ -155,8 +156,10 @@ def load_stream(name: str, scale: float = 1.0, seed: int = 7, cache: bool = True
 
     The cache key includes a digest of the generator config so edits to
     :data:`CONFIGS` never serve stale graphs; a cache file that fails
-    validation is regenerated and rewritten.
+    validation is regenerated and rewritten. Raises ``ValueError`` for a
+    ``scale`` :func:`~repro.core.hashing.check_scale` refuses.
     """
+    check_scale(scale)
     digest = hashlib.md5(repr(sorted(CONFIGS[name].items())).encode()).hexdigest()[:8]
     path = os.path.join(_CACHE_DIR, f"{name}_s{scale}_r{seed}_{digest}.npz")
     cached = _read_cache(name, path) if cache else None

@@ -6,8 +6,7 @@ Usage::
     spark-submit src/repro/reproduce.py TARGET [TARGET ...]
 
 Each target is the one harness call that wrote its ``results/*.csv``;
-the targets run in the order given, in one Spark session. ``REPRO_FULL=1``
-selects the full profile (all eight analogs, Fig 3's five c values).
+the targets run in the order given, in one Spark session.
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ from pyspark.sql import SparkSession
 
 from repro.core.estimators import rept_estimate
 from repro.core.structured import rept_structured_counts, write_stream_files
-from repro.experiments.common import full_profile
 from repro.experiments.fig1 import run_fig1
 from repro.experiments.global_nrmse import run_global_nrmse
 from repro.experiments.local_nrmse import run_local_nrmse
@@ -32,10 +30,6 @@ from repro.session import get_session
 
 def _show(df: pd.DataFrame) -> None:
     print(df.to_string(index=False))
-
-
-def _local_datasets() -> list[str] | None:
-    return None if full_profile() else ["Twitter", "Flickr", "YouTube"]
 
 
 def _fig8(spark: SparkSession) -> None:
@@ -63,17 +57,18 @@ TARGETS = {
     "table2": lambda spark: _show(run_table2(spark)),
     "fig1": lambda spark: _show(run_fig1(spark)),
     "fig3": lambda spark: _show(run_global_nrmse(
-        spark, p_inv=100, c_list=[20, 40, 80, 160, 320] if full_profile() else [20, 80, 320],
-        r_rept=60, r_pool=6,
+        spark, p_inv=100, c_list=[20, 80, 320], r_rept=60, r_pool=6,
     )),
     "fig4": lambda spark: _show(run_global_nrmse(
         spark, p_inv=10, c_list=[2, 4, 8, 16, 32], r_rept=100, r_pool=10,
     )),
     "fig5": lambda spark: _show(run_local_nrmse(
-        spark, p_inv=100, c_list=[20, 80, 320], datasets=_local_datasets(), r_rept=20, r_pool=4,
+        spark, p_inv=100, c_list=[20, 80, 320], datasets=["Twitter", "Flickr", "YouTube"],
+        r_rept=20, r_pool=4,
     )),
     "fig6": lambda spark: _show(run_local_nrmse(
-        spark, p_inv=10, c_list=[2, 8, 32], datasets=_local_datasets(), r_rept=30, r_pool=5,
+        spark, p_inv=10, c_list=[2, 8, 32], datasets=["Twitter", "Flickr", "YouTube"],
+        r_rept=30, r_pool=5,
     )),
     "fig7": lambda spark: _show(run_runtime(spark)),
     "fig8": _fig8,

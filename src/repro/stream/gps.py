@@ -46,21 +46,17 @@ def gps_processor(
         na = adj.get(a)
         nb = adj.get(b)
         if na and nb:
-            common = na & nb if len(na) <= len(nb) else nb & na
+            common = na & nb  # CPython walks the smaller set
             if common:
-                if zstar > 0:  # inc = 1/(q(e1) q(e2)), q(e) = min(1, w(e)/z*)
-                    wa, wb = wt[a], wt[b]
-                    incs = []
-                    for w in common:
+                wa, wb = wt[a], wt[b]
+                for w in common:
+                    inc = 1.0
+                    if zstar > 0:  # inc = 1/(q(e1) q(e2)), q(e) = min(1, w(e)/z*)
                         qa = wa[w] / zstar
                         qb = wb[w] / zstar
-                        incs.append(1.0 / ((qa if qa < 1.0 else 1.0) * (qb if qb < 1.0 else 1.0)))
-                else:
-                    incs = [1.0] * len(common)
-                for inc in incs:
+                        inc = 1.0 / ((qa if qa < 1.0 else 1.0) * (qb if qb < 1.0 else 1.0))
                     tau += inc
-                if track_local:
-                    for w, inc in zip(common, incs):
+                    if track_local:
                         tau_v[a] = tau_v.get(a, 0.0) + inc
                         tau_v[b] = tau_v.get(b, 0.0) + inc
                         tau_v[w] = tau_v.get(w, 0.0) + inc

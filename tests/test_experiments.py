@@ -8,10 +8,12 @@ import pandas as pd
 import pytest
 
 import repro.experiments.common as common
+import repro.experiments.fig1 as fig1
 import repro.experiments.global_nrmse as global_nrmse
 import repro.experiments.local_nrmse as local_nrmse
 import repro.experiments.runtime as runtime
 import repro.experiments.single_thread as single_thread
+import repro.experiments.table2 as table2
 from repro.core.closed_form import mascot_trial_estimates, rept_global_runs
 from repro.core.estimators import nrmse
 from repro.core.hashing import mix_seeds
@@ -206,21 +208,26 @@ HARNESSES = {
     "runtime": (run_runtime, dict(c=2, p_invs=(10,), datasets=["YouTube"], scale=SMALL_SCALE)),
     "single": (run_single_thread, dict(dataset="YouTube", p_inv=10, c_list=[2], r_err=2, r_rept=2,
                                        scale=SMALL_SCALE)),
+    "fig1": (run_fig1, dict(datasets=["YouTube"], ps=(0.1,), scale=SMALL_SCALE)),
+    "table2": (run_table2, dict(datasets=["YouTube"], scale=SMALL_SCALE)),
 }
 BAD_PARAMETERS = [
     *[(h, {"p_inv": bad}) for h in ("global", "local", "single") for bad in (10.0, 0, True)],
     *[(h, {"c_list": bad}) for h in ("global", "local", "single") for bad in ([], [2.5], [0])],
     *[(h, {"seed": bad}) for h in HARNESSES for bad in (-1, 1.5)],
-    *[(h, {"scale": bad}) for h in HARNESSES for bad in (0, -0.5, float("nan"), True, "1")],
+    *[(h, {"scale": bad})
+      for h in HARNESSES for bad in (0, -0.5, float("nan"), True, "1", float("inf"))],
     *[(h, {r: bad}) for h, r in [("global", "r_rept"), ("global", "r_pool"), ("local", "r_rept"),
                                   ("local", "r_pool"), ("single", "r_rept"), ("single", "r_err")]
       for bad in (0, 1.5, True)],
-    *[(h, {"datasets": bad}) for h in ("global", "local", "runtime") for bad in ([], ["Nope"])],
+    *[(h, {"datasets": bad})
+      for h in ("global", "local", "runtime", "fig1", "table2") for bad in ([], ["Nope"])],
     ("single", {"dataset": "Nope"}),
     *[(h, {"methods": bad}) for h in ("global", "local") for bad in ((), ("rept", "nope"))],
     *[("local", {"methods": bad}) for bad in (("gps",), ("triest", "gps"))],
     *[("runtime", kw) for kw in ({"p_invs": ()}, {"p_invs": (10, 2.5)}, {"c": 0}, {"c": 2.5},
                                  {"c": 11}, {"p_invs": (10, 1)})],
+    *[("fig1", {"ps": bad}) for bad in ((), (2.0,), (0,), (0.1, -0.5), (True,))],
 ]
 
 
@@ -234,7 +241,8 @@ def test_harness_refuses_bad_parameters_before_any_work(spark, job_group, tmp_pa
         raise AssertionError("a graph was loaded before the parameters were checked")
 
     for mod, attr in [(global_nrmse, "get_tables"), (local_nrmse, "get_tables"),
-                      (single_thread, "get_tables"), (runtime, "load_stream")]:
+                      (single_thread, "get_tables"), (runtime, "load_stream"),
+                      (fig1, "get_tables"), (table2, "get_tables")]:
         monkeypatch.setattr(mod, attr, no_graph)
     monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
     run, kwargs = HARNESSES[harness]

@@ -10,8 +10,7 @@ from repro import reproduce
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
-def test_table2_and_fig1_match_committed_results(spark, monkeypatch):
-    monkeypatch.delenv("REPRO_FULL", raising=False)
+def test_table2_and_fig1_match_committed_results(spark):
     reproduce.reproduce(spark, ["table2", "fig1"])
     for name in ("table2_datasets", "fig1_variance_terms"):
         written = Path(common.RESULTS_DIR, f"{name}.csv")
